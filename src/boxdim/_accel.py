@@ -1,8 +1,9 @@
-"""Compiled fast paths for the hot loops (all-pairs traversals, trial coloring).
+"""Compiled all-pairs traversals, used when numba is installed.
 
-Every function here mirrors a pure-Python/numpy implementation elsewhere in
-the package, operating on the same exact integer values, so results are
-identical with or without numba. Set BOXDIM_NO_NUMBA=1 to force the fallbacks.
+Every function here mirrors a pure-Python implementation in ``metrics``,
+operating on the same exact integer values, so results are identical with or
+without numba (the optional ``accel`` extra). Set BOXDIM_NO_NUMBA=1 to force
+the fallbacks.
 """
 from __future__ import annotations
 
@@ -137,54 +138,3 @@ if HAVE_NUMBA:
                                 j = parent
                             else:
                                 break
-
-    @njit(cache=True)
-    def permute_matrix(dist, order):
-        n = order.size
-        out = np.empty((n, n), dist.dtype)
-        for i in range(n):
-            src = dist[order[i]]
-            for j in range(n):
-                out[i, j] = src[order[j]]
-        return out
-
-    @njit(cache=True)
-    def greedy_counts(dp, sizes, out):
-        # greedy coloring of the implicit dual graph, one pass per box size;
-        # stamp[c] == i marks color c as taken by a far neighbor of node i
-        n = dp.shape[0]
-        colors = np.empty(n, np.int64)
-        stamp = np.empty(n + 1, np.int64)
-        for j in range(sizes.size):
-            lb = sizes[j]
-            for c in range(n + 1):
-                stamp[c] = 0
-            colors[0] = 0
-            ncolors = 1
-            for i in range(1, n):
-                row = dp[i]
-                for t in range(i):
-                    if row[t] >= lb:
-                        stamp[colors[t]] = i
-                c = 0
-                while stamp[c] == i:
-                    c += 1
-                colors[i] = c
-                if c == ncolors:
-                    ncolors += 1
-            out[j] = ncolors
-
-    def warmup() -> None:
-        """Compile (or load cached) kernels before forking workers."""
-        indptr, indices = csr_arrays(((1,), (0,)))
-        out2 = np.empty((2, 2), dtype=np.int64)
-        bfs_all_pairs(indptr, indices, out2)
-        wptr, widx, wts = weighted_csr_arrays((((1, 1),), ((0, 1),)))
-        dijkstra_all_pairs(wptr, widx, wts, out2)
-        dp = permute_matrix(out2, np.array([1, 0], dtype=np.int64))
-        greedy_counts(dp.astype(np.int32), np.array([1], dtype=np.int64), np.empty(1, np.int64))
-
-else:
-
-    def warmup() -> None:
-        return

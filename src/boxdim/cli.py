@@ -1,6 +1,7 @@
 """Command-line front end: generate networks, estimate dimensions, compare methods.
 
-Exit codes: 0 success, 2 usage/input error, 3 analysis error.
+Exit codes: 0 success, 2 usage/input error, 3 analysis error (including a
+trial worker process that died).
 """
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import logging
 import os
 import sys
 import time
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
 from . import __version__
@@ -186,8 +188,7 @@ def read_series_csv(path) -> tuple[list[int], list[float]]:
     return sizes, means
 
 
-def _dump_matrix_csv(graph: Graph, method: str, path) -> None:
-    comp = largest_component(graph)
+def _dump_matrix_csv(comp: Graph, method: str, path) -> None:
     wg = edge_repulsive_force(comp) if method == REPULSION else comp
     dm = all_pairs(wg, method)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -201,6 +202,8 @@ def _run_analysis(args, methods: list[str]) -> int:
     if args.seed < 0:
         raise InputError("--seed must be non-negative")
     dataset, graph = _load_input(args)
+    # once for every method, so a disconnected input is reported once
+    comp = largest_component(graph)
     threads = args.threads if args.threads is not None else _default_threads()
     fit_range = tuple(args.fit_range) if args.fit_range else None
     started = time.perf_counter()
@@ -208,7 +211,7 @@ def _run_analysis(args, methods: list[str]) -> int:
     results = {}
     for method in methods:
         series, estimate = analyze(
-            graph,
+            comp,
             method=method,
             trials=args.trials,
             seed=args.seed,
@@ -238,7 +241,7 @@ def _run_analysis(args, methods: list[str]) -> int:
     logger.info("wrote %s", json_path)
 
     if args.dump_matrix:
-        _dump_matrix_csv(graph, methods[0], args.dump_matrix)
+        _dump_matrix_csv(comp, methods[0], args.dump_matrix)
         logger.info("wrote %s", args.dump_matrix)
 
     if len(methods) == 1:
@@ -292,6 +295,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except (DegenerateScalingError, ValueError, MemoryError) as exc:
         print(f"analysis error: {exc}", file=sys.stderr)
+        return EXIT_ANALYSIS
+    except BrokenExecutor as exc:  # BrokenProcessPool: a trial worker died
+        print(f"analysis error: a trial worker process died: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
 
 

@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import math
+import os
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -69,9 +72,67 @@ def floyd_warshall(n: int, weighted_edges) -> list[list[float]]:
     return dist
 
 
+def dense_greedy_colors(dp: np.ndarray, box_size) -> tuple[np.ndarray, int]:
+    """Greedy coloring of row-permuted distance matrix ``dp`` in index order.
+
+    The dense statement of the covering rule, kept as the reference for the
+    library's sparse kernel: each node takes the smallest color not used by
+    any earlier node at distance >= box_size. Returns (colors in permuted
+    order, color count).
+    """
+    n = dp.shape[0]
+    colors = np.zeros(n, dtype=np.int64)
+    if n == 0:
+        return colors, 0
+    ncolors = 1
+    used = np.zeros(n + 1, dtype=bool)
+    for i in range(1, n):
+        far = colors[:i][dp[i, :i] >= box_size]
+        if far.size:
+            used[far] = True
+            c = int(np.argmin(used[: ncolors + 1]))
+            used[far] = False
+        else:
+            c = 0
+        colors[i] = c
+        if c == ncolors:
+            ncolors += 1
+    return colors, ncolors
+
+
 def graph_weighted_edges(g: bd.Graph, metric: str):
     """Edge list with weights matching the requested metric."""
     if metric == bd.HOP:
         return [(u, v, 1) for u, v in g.edges]
     deg = bd.degrees(g)
     return [(u, v, int(deg[u]) * int(deg[v])) for u, v in g.edges]
+
+
+@contextmanager
+def time_limit(seconds: int):
+    """Raise TimeoutError in the body if it runs longer than ``seconds``."""
+
+    def expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def die_on_trial(monkeypatch, trial: int) -> None:
+    """Make the covering trial ``trial`` kill the worker process that runs it."""
+    from boxdim import covering
+
+    trial_counts = covering._trial_counts
+
+    def dying(plan, n, master_seed, t):
+        if t == trial:
+            os._exit(1)
+        return trial_counts(plan, n, master_seed, t)
+
+    monkeypatch.setattr(covering, "_trial_counts", dying)

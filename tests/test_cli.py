@@ -1,10 +1,13 @@
 import json
+import logging
 
 import numpy as np
 import pytest
 
 import boxdim as bd
 from boxdim.cli import main, read_series_csv, write_series_csv
+
+from conftest import die_on_trial, time_limit
 
 
 def run_cli(args, capsys):
@@ -97,6 +100,20 @@ class TestDim:
         )
         assert code == 3
         assert "degenerate scaling range" in stderr
+
+    def test_dead_worker_exit_3(self, karate_file, tmp_path, capsys, monkeypatch):
+        die_on_trial(monkeypatch, 1)
+        with time_limit(60):
+            code, _, stderr = run_cli(
+                [
+                    "dim", "--input", str(karate_file), "--method", "hop", "--trials", "8",
+                    "--csv", str(tmp_path / "s.csv"), "--json", str(tmp_path / "s.json"),
+                    "--threads", "2",
+                ],
+                capsys,
+            )
+        assert code == 3
+        assert "worker process died" in stderr
 
     def test_missing_file_exit_2(self, tmp_path, capsys):
         missing = tmp_path / "absent.txt"
@@ -196,6 +213,25 @@ class TestCompare:
         assert table["repulsion"] < table["hop"]
         assert (tmp_path / "karate.repulsion.csv").exists()
         assert (tmp_path / "karate.hop.csv").exists()
+
+    def test_disconnected_input_warned_once(self, karate, tmp_path, capsys, caplog, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "split.txt"
+        bd.save_edge_list(karate, path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("island_a island_b\n")
+        with caplog.at_level(logging.WARNING, logger="boxdim.graphs"):
+            code, _, _ = run_cli(
+                [
+                    "compare", "--input", str(path), "--trials", "5", "--threads", "1",
+                    "--dump-matrix", str(tmp_path / "matrix.csv"),
+                ],
+                capsys,
+            )
+        assert code == 0
+        warnings = [r for r in caplog.records if "disconnected" in r.getMessage()]
+        assert len(warnings) == 1
+        assert "discarding 2" in warnings[0].getMessage()
 
     def test_missing_input_exit_2(self, capsys):
         code, _, stderr = run_cli(["compare", "--input", "/no/such/file.txt"], capsys)

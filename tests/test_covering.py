@@ -1,13 +1,20 @@
+import logging
+from concurrent.futures.process import BrokenProcessPool
 from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import boxdim as bd
-from boxdim import _accel
-from boxdim.covering import _greedy_color_permuted, _working_matrix
+from boxdim import covering
 
-from conftest import random_connected_graph
+from conftest import dense_greedy_colors, die_on_trial, random_connected_graph, time_limit
+
+# list lengths that send every earlier-neighbour list through the numpy
+# tally, or every one through the Python scan
+SHORT_LIST_LIMITS = (0, 10**9)
 
 
 def all_partitions(items):
@@ -167,12 +174,11 @@ class TestRunTrials:
         parallel = bd.covering_counts(dm, [2, 3, 4], trials=40, master_seed=3, workers=4)
         assert np.array_equal(serial, parallel)
 
-    def test_accel_and_fallback_agree(self, karate, monkeypatch):
+    def test_dead_worker_raises_instead_of_hanging(self, karate, monkeypatch):
         dm = bd.all_pairs(karate, bd.HOP)
-        fast = bd.covering_counts(dm, [2, 3, 5], trials=20, master_seed=8)
-        monkeypatch.setattr(_accel, "HAVE_NUMBA", False)
-        slow = bd.covering_counts(dm, [2, 3, 5], trials=20, master_seed=8)
-        assert np.array_equal(fast, slow)
+        die_on_trial(monkeypatch, 3)
+        with time_limit(60), pytest.raises(BrokenProcessPool):
+            bd.covering_counts(dm, [2, 3], trials=8, master_seed=1, workers=2)
 
     def test_trials_must_be_positive(self, example6_hop):
         with pytest.raises(ValueError, match="trials"):
@@ -196,14 +202,13 @@ class TestRunTrials:
 
 class TestGreedyCorePaths:
     def test_vectorized_matches_reference(self, karate):
-        # numpy fallback core vs a direct python transcription of the rule
+        # the kernel, through its numpy and its Python list scans, vs a
+        # direct python transcription of the rule on the permuted matrix
         dm = bd.all_pairs(karate, bd.HOP)
-        d = _working_matrix(dm)
         rng = np.random.default_rng(0)
         for lb in (2, 3, 4):
             order = rng.permutation(dm.n)
-            dp = d[order][:, order]
-            colors, ncolors = _greedy_color_permuted(dp, lb)
+            dp = dm.dist[order][:, order]
             ref_colors = []
             for i in range(dm.n):
                 forbidden = {
@@ -213,5 +218,65 @@ class TestGreedyCorePaths:
                 while c in forbidden:
                     c += 1
                 ref_colors.append(c)
-            assert colors.tolist() == ref_colors
-            assert ncolors == max(ref_colors) + 1
+            for limit in SHORT_LIST_LIMITS:
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(covering, "_SHORT_LIST", limit)
+                    cov = bd.greedy_box_cover(dm, lb, order)
+                assert cov.colors[order].tolist() == ref_colors
+                assert cov.box_count == max(ref_colors) + 1
+
+    def test_karate_hop_takes_every_branch(self, karate):
+        # short-circuit at n, near lists, far lists and short-circuit at 1
+        dm = bd.all_pairs(karate, bd.HOP)
+        plan = covering._side_lists(dm, [1, 2, 4, 6])
+        assert plan[0] == dm.n and plan[3] == 1
+        assert plan[1].near and not plan[2].near
+        counts = bd.covering_counts(dm, [1, 2, 4, 6], trials=20, master_seed=8)
+        for t in range(20):
+            order = np.random.default_rng((8, t)).permutation(dm.n)
+            dp = dm.dist[np.ix_(order, order)]
+            expected = [dense_greedy_colors(dp, lb)[1] for lb in (1, 2, 4, 6)]
+            assert counts[:, t].tolist() == expected
+
+    def test_one_debug_line_per_size_not_per_trial(self, karate, caplog):
+        dm = bd.all_pairs(karate, bd.HOP)
+        with caplog.at_level(logging.DEBUG, logger="boxdim.covering"):
+            bd.covering_counts(dm, [1, 2, 4, 6], trials=5, master_seed=0)
+        lines = [r.getMessage() for r in caplog.records if r.name == "boxdim.covering"]
+        assert len(lines) == 4
+        assert "N_B = n = 34" in lines[0] and "short-circuited" in lines[0]
+        assert "near side" in lines[1] and "far side" in lines[2]
+        assert "N_B = 1" in lines[3] and "short-circuited" in lines[3]
+
+
+@st.composite
+def covering_cases(draw):
+    n = draw(st.integers(2, 14))
+    g = random_connected_graph(n, draw(st.integers(0, 2 * n)), seed=draw(st.integers(0, 10**6)))
+    metric = draw(st.sampled_from([bd.HOP, bd.REPULSION]))
+    dm = bd.all_pairs(bd.edge_repulsive_force(g) if metric == bd.REPULSION else g, metric)
+    order = draw(st.permutations(range(n)))
+    return dm, np.array(order), draw(st.integers(0, 1000))
+
+
+@given(covering_cases(), st.sampled_from(SHORT_LIST_LIMITS))
+@settings(max_examples=80, deadline=None)
+def test_kernel_matches_dense_rule(case, short_list):
+    # box sizes: 1, every distance and one above it, and past the diameter,
+    # so every size is short-circuited (N_B = n or 1) or walks near or far lists
+    dm, order, seed = case
+    distances = bd.distinct_distances(dm).tolist()
+    sizes = sorted({1, dm.diameter + 5, *distances, *(d + 1 for d in distances)})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(covering, "_SHORT_LIST", short_list)
+        dp = dm.dist[np.ix_(order, order)]
+        for lb in sizes:
+            cov = bd.greedy_box_cover(dm, lb, order)
+            colors, count = dense_greedy_colors(dp, lb)
+            assert cov.colors[order].tolist() == colors.tolist()
+            assert cov.box_count == count
+        counts = bd.covering_counts(dm, sizes, trials=3, master_seed=seed)
+    for t in range(3):
+        order_t = np.random.default_rng((seed, t)).permutation(dm.n)
+        dp = dm.dist[np.ix_(order_t, order_t)]
+        assert counts[:, t].tolist() == [dense_greedy_colors(dp, lb)[1] for lb in sizes]
