@@ -20,6 +20,7 @@ from .dimension import (
     DimensionEstimate,
     ScalingSeries,
     analyze,
+    analyze_matrix,
     build_schedule,
     estimate_dimension,
 )
@@ -65,6 +66,7 @@ __all__ = [
     "WeightedGraph",
     "all_pairs",
     "analyze",
+    "analyze_matrix",
     "brute_force_min_boxes",
     "build_schedule",
     "connected_components",

@@ -14,11 +14,13 @@ import time
 from concurrent.futures import BrokenExecutor
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .dimension import DEFAULT_MAX_POINTS, DegenerateScalingError, analyze
+from .dimension import DEFAULT_MAX_POINTS, DegenerateScalingError, analyze_matrix
 from .generators import MAX_SIERPINSKI_LEVEL, generate_sierpinski
 from .graphs import EdgeListError, Graph, largest_component, read_edge_list, save_edge_list
-from .metrics import HOP, REPULSION, all_pairs, edge_repulsive_force
+from .metrics import HOP, REPULSION, DistanceMatrix, all_pairs, edge_repulsive_force
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -188,12 +190,9 @@ def read_series_csv(path) -> tuple[list[int], list[float]]:
     return sizes, means
 
 
-def _dump_matrix_csv(comp: Graph, method: str, path) -> None:
-    wg = edge_repulsive_force(comp) if method == REPULSION else comp
-    dm = all_pairs(wg, method)
+def _dump_matrix_csv(dm: DistanceMatrix, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in dm.dist:
-            fh.write(",".join(str(int(x)) for x in row) + "\n")
+        np.savetxt(fh, dm.dist, fmt="%d", delimiter=",")
 
 
 def _run_analysis(args, methods: list[str]) -> int:
@@ -210,9 +209,10 @@ def _run_analysis(args, methods: list[str]) -> int:
 
     results = {}
     for method in methods:
-        series, estimate = analyze(
-            comp,
-            method=method,
+        dm = all_pairs(edge_repulsive_force(comp) if method == REPULSION else comp, method)
+        series, estimate = analyze_matrix(
+            dm,
+            comp.edge_count,
             trials=args.trials,
             seed=args.seed,
             max_points=args.max_points,
@@ -220,6 +220,11 @@ def _run_analysis(args, methods: list[str]) -> int:
             workers=threads,
             min_box_size=args.min_lb,
         )
+        if args.dump_matrix and method == methods[0]:
+            _dump_matrix_csv(dm, args.dump_matrix)
+            logger.info("wrote %s", args.dump_matrix)
+        # one matrix alive at a time: release it before the next method builds its own
+        del dm
         results[method] = (series, estimate)
         csv_path = args.csv if (args.csv and len(methods) == 1) else f"{dataset}.{method}.csv"
         write_series_csv(series, csv_path)
@@ -239,10 +244,6 @@ def _run_analysis(args, methods: list[str]) -> int:
     json_path = args.json or f"{dataset}.{'-'.join(methods)}.json"
     Path(json_path).write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
     logger.info("wrote %s", json_path)
-
-    if args.dump_matrix:
-        _dump_matrix_csv(comp, methods[0], args.dump_matrix)
-        logger.info("wrote %s", args.dump_matrix)
 
     if len(methods) == 1:
         est = results[methods[0]][1]

@@ -217,18 +217,36 @@ def analyze(
     """Estimate the fractal dimension of a graph end to end.
 
     Pipeline: largest component -> (repulsion only: degree-product edge
-    weights) -> all-pairs distances -> box-size schedule -> randomized greedy
-    coverings -> log-log regression. Returns the scaling series and the
-    estimate. ``min_box_size`` drops schedule entries below it, for metrics
-    whose smallest sizes are not wanted in the sweep.
+    weights) -> all-pairs distances -> ``analyze_matrix``. Returns the scaling
+    series and the estimate.
     """
     if method not in (REPULSION, HOP):
         raise ValueError(f"unknown method {method!r}")
     comp = largest_component(g)
-    if method == REPULSION:
-        dm = all_pairs(edge_repulsive_force(comp), REPULSION)
-    else:
-        dm = all_pairs(comp, HOP)
+    dm = all_pairs(edge_repulsive_force(comp) if method == REPULSION else comp, method)
+    return analyze_matrix(
+        dm, comp.edge_count, trials=trials, seed=seed, max_points=max_points,
+        fit_range=fit_range, workers=workers, min_box_size=min_box_size,
+    )
+
+
+def analyze_matrix(
+    dm: DistanceMatrix,
+    edge_count: int,
+    trials: int = 1000,
+    seed: int = 42,
+    max_points: int = DEFAULT_MAX_POINTS,
+    fit_range: tuple[float, float] | None = None,
+    workers: int = 1,
+    min_box_size: int | None = None,
+) -> tuple[ScalingSeries, DimensionEstimate]:
+    """Estimate the fractal dimension from a connected graph's distance matrix.
+
+    Pipeline: box-size schedule -> randomized greedy coverings -> log-log
+    regression. ``edge_count`` is the graph's, recorded in the series.
+    ``min_box_size`` drops schedule entries below it, for metrics whose
+    smallest sizes are not wanted in the sweep.
+    """
     schedule = build_schedule(dm, max_points)
     values = schedule.values
     if min_box_size is not None:
@@ -238,6 +256,6 @@ def analyze(
                 f"degenerate scaling range: {len(values)} box size(s) >= {min_box_size}"
             )
     counts = covering_counts(dm, values, trials, seed, workers=workers)
-    series = series_from_counts(dm, values, counts, comp.node_count, comp.edge_count)
+    series = series_from_counts(dm, values, counts, dm.n, edge_count)
     estimate = estimate_dimension(series, fit_range)
     return series, estimate

@@ -9,7 +9,9 @@ Two node-to-node metrics are supported:
   even when directly linked.
 
 All distances are computed and stored as exact integers, so downstream
-threshold tests never hit floating-point ties.
+threshold tests never hit floating-point ties. ``all_pairs`` has one
+implementation per metric, in pure Python: a breadth-first search per source
+for hops and a binary-heap Dijkstra per source for repulsion.
 """
 from __future__ import annotations
 
@@ -19,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _accel
 from .graphs import Graph, is_connected
 
 HOP = "hop"
@@ -181,17 +182,9 @@ def all_pairs(
     if not is_connected(graph):
         raise ValueError("graph must be connected; extract the largest component first")
     mat = np.empty((n, n), dtype=np.int64)
-    if _accel.available():
-        if kind == HOP:
-            indptr, indices = _accel.csr_arrays(adjacency)
-            _accel.bfs_all_pairs(indptr, indices, mat)
-        else:
-            indptr, indices, weights = _accel.weighted_csr_arrays(adjacency)
-            _accel.dijkstra_all_pairs(indptr, indices, weights, mat)
-    else:
-        row_fn = _bfs_row if kind == HOP else _dijkstra_row
-        for s in range(n):
-            mat[s, :] = row_fn(adjacency, s, n)
+    row_fn = _bfs_row if kind == HOP else _dijkstra_row
+    for s in range(n):
+        mat[s, :] = row_fn(adjacency, s, n)
     mat.setflags(write=False)
     return DistanceMatrix(metric_kind=kind, dist=mat, diameter=int(mat.max()))
 

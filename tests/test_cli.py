@@ -1,10 +1,16 @@
 import json
 import logging
+import os
+import subprocess
+import sys
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import boxdim as bd
+from boxdim import cli, dimension, graphs, metrics
 from boxdim.cli import main, read_series_csv, write_series_csv
 
 from conftest import die_on_trial, time_limit
@@ -14,6 +20,33 @@ def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def track_calls(monkeypatch, home, name):
+    """Wrap ``home.<name>`` in every boxdim module that binds it.
+
+    Returns a list that gets one entry per call: how many results of earlier
+    calls were still alive when it was made (results are held weakly).
+    """
+    real = getattr(home, name)
+    earlier = []
+    calls = []
+
+    def tracked(*args, **kwargs):
+        calls.append(sum(ref() is not None for ref in earlier))
+        out = real(*args, **kwargs)
+        earlier.append(weakref.ref(out))
+        return out
+
+    for module in (home, dimension, cli):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, tracked)
+    return calls
+
+
+def matrix_rows(dm) -> bytes:
+    """The --dump-matrix format, one comma-separated row per node, cell by cell."""
+    return "".join(",".join(str(int(x)) for x in row) + "\n" for row in dm.dist).encode()
 
 
 class TestGen:
@@ -166,7 +199,9 @@ class TestDim:
             blobs.append(csv.read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]
 
-    def test_dump_matrix(self, karate_file, tmp_path, capsys):
+    def test_dump_matrix(self, karate_file, tmp_path, capsys, monkeypatch):
+        matrices = track_calls(monkeypatch, metrics, "all_pairs")
+        components = track_calls(monkeypatch, graphs, "largest_component")
         dump = tmp_path / "matrix.csv"
         code, _, _ = run_cli(
             [
@@ -178,11 +213,17 @@ class TestDim:
             capsys,
         )
         assert code == 0
+        # the dump is the matrix the analysis used, not a second all-pairs pass
+        assert matrices == [0]
+        assert len(components) == 1
         rows = dump.read_text().strip().splitlines()
         assert len(rows) == 34
         first = [int(x) for x in rows[0].split(",")]
         assert len(first) == 34
         assert first[0] == 0
+        monkeypatch.undo()
+        comp = bd.largest_component(bd.read_edge_list(karate_file))
+        assert dump.read_bytes() == matrix_rows(bd.all_pairs(comp, bd.HOP))
 
     def test_fit_range_respected(self, karate_file, tmp_path, capsys):
         js = tmp_path / "s.json"
@@ -233,6 +274,25 @@ class TestCompare:
         assert len(warnings) == 1
         assert "discarding 2" in warnings[0].getMessage()
 
+    @pytest.mark.parametrize("dump", [False, True])
+    def test_one_matrix_per_method(self, karate_file, tmp_path, capsys, monkeypatch, dump):
+        monkeypatch.chdir(tmp_path)
+        matrices = track_calls(monkeypatch, metrics, "all_pairs")
+        components = track_calls(monkeypatch, graphs, "largest_component")
+        path = tmp_path / "matrix.csv"
+        args = ["compare", "--input", str(karate_file), "--trials", "5", "--threads", "1"]
+        code, _, _ = run_cli(args + (["--dump-matrix", str(path)] if dump else []), capsys)
+        assert code == 0
+        # repulsion, then hop, and the repulsion matrix is released before hop is built
+        assert matrices == [0, 0]
+        assert len(components) == 1
+        assert path.exists() == dump
+        if dump:
+            monkeypatch.undo()
+            comp = bd.largest_component(bd.read_edge_list(karate_file))
+            expected = bd.all_pairs(bd.edge_repulsive_force(comp), bd.REPULSION)
+            assert path.read_bytes() == matrix_rows(expected)
+
     def test_missing_input_exit_2(self, capsys):
         code, _, stderr = run_cli(["compare", "--input", "/no/such/file.txt"], capsys)
         assert code == 2
@@ -251,3 +311,24 @@ def test_write_read_series_csv_round_trip(tmp_path, karate):
     back_sizes, back_means = read_series_csv(path)
     assert back_sizes == list(sizes)
     assert back_means == [s.mean for s in series.stats]
+
+
+def test_runtime_imports_neither_scipy_nor_numba():
+    # either import would add its load time and memory to every CLI run
+    script = (
+        "import sys\n"
+        "import boxdim, boxdim.cli\n"
+        "boxdim.analyze(boxdim.karate_club(), trials=2)\n"
+        "print(sorted(m for m in ('scipy', 'numba') if m in sys.modules))\n"
+    )
+    src = str(Path(bd.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
