@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import boxdim as bd
+from boxdim.metrics import _bfs_row, _dijkstra_row
 
 from conftest import floyd_warshall, graph_weighted_edges, random_connected_graph
 
@@ -102,6 +103,16 @@ class TestAllPairs:
             dm = bd.all_pairs(arg, metric)
             oracle = floyd_warshall(g.node_count, graph_weighted_edges(g, metric))
             assert dm.dist.tolist() == oracle
+
+    def test_pure_python_rows_match(self):
+        # all_pairs must assemble exactly the rows the per-source traversals give
+        g = random_connected_graph(25, 30, seed=11)
+        wg = bd.edge_repulsive_force(g)
+        hop = bd.all_pairs(g, bd.HOP)
+        rep = bd.all_pairs(wg, bd.REPULSION)
+        for s in range(g.node_count):
+            assert hop.dist[s].tolist() == _bfs_row(g.adjacency, s, g.node_count)
+            assert rep.dist[s].tolist() == _dijkstra_row(wg.weighted_adjacency, s, g.node_count)
 
 
 class TestDistinctDistances:
