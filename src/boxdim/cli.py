@@ -42,7 +42,12 @@ def _default_threads() -> int:
             return max(1, int(env))
         except ValueError:
             logger.warning("ignoring non-integer %s=%r", THREADS_ENV, env)
-    return min(os.cpu_count() or 1, 8)
+    # the CPUs this process may run on, which a container or taskset can narrow
+    if hasattr(os, "sched_getaffinity"):
+        usable = len(os.sched_getaffinity(0))
+    else:
+        usable = os.cpu_count() or 1
+    return min(usable, 8)
 
 
 def _add_run_options(p: argparse.ArgumentParser) -> None:
@@ -78,7 +83,7 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
         "--threads",
         type=int,
         default=None,
-        help=f"worker processes for trials (default: ${THREADS_ENV} or CPU count)",
+        help=f"worker processes for trials (default: ${THREADS_ENV} or usable CPUs, at most 8)",
     )
     p.add_argument("--csv", metavar="PATH", help="scaling series CSV path")
     p.add_argument("--json", metavar="PATH", help="run summary JSON path")

@@ -10,23 +10,52 @@ Two node-to-node metrics are supported:
 
 All distances are computed and stored as exact integers, so downstream
 threshold tests never hit floating-point ties. ``all_pairs`` has one
-implementation per metric, in pure Python: a breadth-first search per source
-for hops and a binary-heap Dijkstra per source for repulsion.
+implementation per metric. Hops come from one level-synchronous breadth-first
+search from every source at once, in numpy, with the reached set held as an
+n x n bit matrix: a level with a large frontier ORs each node's neighbours'
+frontier bits, and a level with a small one pushes its (node, source) pairs
+along their edges, so long-diameter graphs do not pay a matrix pass per level
+(the direction-switching idea of Beamer et al., SC 2012). Pushed levels are
+written into the matrix cell by cell; bit-parallel ones are held bit-sliced
+and added in one pass. Repulsion runs a pure-Python binary-heap Dijkstra per
+source.
 """
 from __future__ import annotations
 
 import heapq
+import logging
+import time
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .graphs import Graph, is_connected
 
+logger = logging.getLogger(__name__)
+
 HOP = "hop"
 REPULSION = "repulsion"
 
 DEFAULT_CELL_CAP = 10**9
+
+# A hop level pushes its (node, source) pairs along their edges while it has
+# fewer than n * n / _PUSH_CELLS of them to push: one push costs about as much
+# as this many cells of a bit-parallel level, whose work (ORing every node's
+# neighbour rows, counting the new bits, its share of the matrix pass) grows
+# with n * n whatever its frontier.
+_PUSH_CELLS = 48
+# Bit-parallel levels are held bit-sliced, plane k holding bit k of the
+# level's offset from a base, and added into the matrix at the end or when
+# the offset would pass a byte: one matrix pass per 255 levels, not per level,
+# for at most 8 extra bit matrices (an eighth of the int64 matrix).
+_PLANES = 8
+# bit-matrix cells unpacked at once (a 4 MB block once widened to int64)
+_BLOCK_CELLS = 1 << 19
+# frontier words gathered at once by a bit-parallel level (a 4 MB block)
+_GATHER_WORDS = 1 << 19
+_BIT = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,6 +130,163 @@ def _bfs_row(adjacency, source: int, n: int) -> list[int]:
     return dist
 
 
+def _csr(adjacency) -> tuple[np.ndarray, np.ndarray]:
+    n = len(adjacency)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([len(ns) for ns in adjacency], out=indptr[1:])
+    indices = np.fromiter(chain.from_iterable(adjacency), dtype=np.int64, count=int(indptr[-1]))
+    return indptr, indices
+
+
+def _hop_matrix(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """Hop distances of a connected CSR graph, by BFS from all sources at once.
+
+    Returns the (n, n) int64 matrix, the number of levels (the diameter) and
+    how many of them ran bit-parallel. Each level runs whichever step is
+    cheaper for its frontier; both yield the same next level.
+    """
+    n = indptr.size - 1
+    degree = np.diff(indptr)
+    by_degree = _degree_groups(indptr, indices)
+    mat = np.zeros((n, n), dtype=np.int64)
+    planes: list[np.ndarray] = []
+    base = 0
+    # row v, bit s: v has been reached from s; little-endian words, so bit s
+    # is bit s of the row's bytes on every host
+    reached = np.zeros((n, (n + 63) >> 6), dtype="<u8")
+    nodes = np.arange(n, dtype=np.int64)
+    _set_bits(reached, nodes, nodes)
+    # the frontier as (node, source) pairs, kept while it is small, and as bits
+    pairs: tuple[np.ndarray, np.ndarray] | None = (nodes, nodes)
+    bits = None
+    cells, level, dense = n, 0, 0
+    while cells < n * n:
+        level += 1
+        if pairs is not None and int(degree[pairs[0]].sum()) * _PUSH_CELLS < n * n:
+            pairs = _push_level(indptr, indices, pairs, reached, mat, level)
+            bits = None
+            count = pairs[0].size
+        else:
+            dense += 1
+            if bits is None:
+                bits = np.zeros_like(reached)
+                _set_bits(bits, *pairs)
+            bits = _or_level(by_degree, bits, reached)
+            base = _hold_level(mat, planes, base, bits, level)
+            count = _count_bits(bits)
+            # list the level as pairs only if, at the mean degree, it would be pushed
+            pairs = _bit_pairs(bits) if count * indices.size * _PUSH_CELLS < n**3 else None
+        cells += count
+    _add_planes(mat, planes, base)
+    return mat, level, dense
+
+
+def _degree_groups(indptr, indices) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(nodes, their neighbours as rows) for each degree, so the OR runs on equal-length rows."""
+    degree = np.diff(indptr)
+    groups = []
+    for d in np.unique(degree):
+        nodes = np.flatnonzero(degree == d)
+        groups.append((nodes, indices[indptr[nodes, None] + np.arange(d)]))
+    return groups
+
+
+def _set_bits(bits, w, s) -> None:
+    """Set bit s of row w for each pair; pairs may share a word."""
+    np.bitwise_or.at(bits.reshape(-1), w * bits.shape[1] + (s >> 6), _BIT[s & 63])
+
+
+def _push_level(indptr, indices, pairs, reached, mat, level):
+    """Next frontier from pushing each (node, source) pair along its edges."""
+    u, s = pairs
+    n = indptr.size - 1
+    words = reached.shape[1]
+    deg = indptr[u + 1] - indptr[u]
+    ends = np.cumsum(deg)
+    # the k-th pushed edge is edge k - (ends - deg)[pair] of its pair's node
+    slot = np.repeat(indptr[u] + deg - ends, deg)
+    slot += np.arange(slot.size)
+    w = indices[slot]
+    s = np.repeat(s, deg)
+    unreached = (reached.reshape(-1)[w * words + (s >> 6)] & _BIT[s & 63]) == 0
+    key = (w * n + s)[unreached]
+    key.sort()
+    key = key[np.concatenate(([True], key[1:] != key[:-1]))]
+    w, s = np.divmod(key, n)
+    _set_bits(reached, w, s)
+    mat.reshape(-1)[key] = level
+    return w, s
+
+
+def _or_level(by_degree, bits, reached):
+    """Next frontier as each node's OR of its neighbours' frontier rows."""
+    words = reached.shape[1]
+    out = np.empty_like(reached)
+    for nodes, nbrs in by_degree:
+        # gather at most _GATHER_WORDS frontier words at once, or one node's
+        step = max(1, _GATHER_WORDS // (nbrs.shape[1] * words))
+        for a in range(0, nodes.size, step):
+            out[nodes[a : a + step]] = np.bitwise_or.reduce(bits[nbrs[a : a + step]], axis=1)
+    out &= ~reached
+    reached |= out
+    return out
+
+
+def _row_blocks(n: int) -> list[slice]:
+    rows = max(1, _BLOCK_CELLS // n)
+    return [slice(a, a + rows) for a in range(0, n, rows)]
+
+
+def _unpacked(bits, rows: slice) -> np.ndarray:
+    """The rows of a bit matrix as 0/1 bytes, one per column."""
+    return np.unpackbits(bits[rows].view(np.uint8), axis=1, count=bits.shape[0], bitorder="little")
+
+
+def _count_bits(bits) -> int:
+    return sum(int(np.count_nonzero(_unpacked(bits, rows))) for rows in _row_blocks(bits.shape[0]))
+
+
+def _hold_level(mat, planes: list, base: int, bits, level: int) -> int:
+    """Set the level's bits in the planes of its offset from base; returns the base.
+
+    The planes are first added into the matrix and restarted if the offset
+    would not fit in _PLANES bits.
+    """
+    if level - base >= 1 << _PLANES:
+        _add_planes(mat, planes, base)
+        planes.clear()
+        base = level - 1
+    offset = level - base
+    planes += [np.zeros_like(bits) for _ in range(offset.bit_length() - len(planes))]
+    for k, plane in enumerate(planes):
+        if offset >> k & 1:
+            plane |= bits
+    return base
+
+
+def _add_planes(mat, planes, base: int) -> None:
+    """Add the levels held in the planes into the matrix, a block of rows at a time."""
+    if not planes:
+        return
+    for rows in _row_blocks(mat.shape[0]):
+        offset = _unpacked(planes[0], rows)
+        for k, plane in enumerate(planes[1:], start=1):
+            offset |= _unpacked(plane, rows) << k
+        block = mat[rows]
+        block += offset
+        if base:
+            # offset 0 is a cell no level of these planes reached
+            block += (offset != 0) * base
+
+
+def _bit_pairs(bits) -> tuple[np.ndarray, np.ndarray]:
+    """The (row, bit) pairs of the set bits, reading each set word only."""
+    rows, cols = np.nonzero(bits)
+    hit = np.unpackbits(bits[rows, cols].view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
+    k, b = np.nonzero(hit)
+    return rows[k], cols[k] * 64 + b
+
+
 def _dijkstra_row(weighted_adjacency, source: int, n: int) -> list[int]:
     # Plain binary-heap Dijkstra over Python ints: exact for any 64-bit sums.
     dist: list[int | None] = [None] * n
@@ -166,9 +352,10 @@ def all_pairs(
 ) -> DistanceMatrix:
     """All-pairs distance matrix under the chosen metric.
 
-    Runs one single-source pass per node and stores the full symmetric matrix
-    densely. Refuses matrices above ``cell_cap`` cells; analyze a subsample or
-    raise the cap explicitly for larger graphs.
+    Hops run one breadth-first search from all sources at once; repulsion runs
+    one Dijkstra pass per node. The full symmetric matrix is stored densely.
+    Refuses matrices above ``cell_cap`` cells; analyze a subsample or raise
+    the cap explicitly for larger graphs. Logs one debug line per call.
     """
     graph, adjacency, kind = _resolve(g, metric)
     n = graph.node_count
@@ -181,12 +368,21 @@ def all_pairs(
         )
     if not is_connected(graph):
         raise ValueError("graph must be connected; extract the largest component first")
-    mat = np.empty((n, n), dtype=np.int64)
-    row_fn = _bfs_row if kind == HOP else _dijkstra_row
-    for s in range(n):
-        mat[s, :] = row_fn(adjacency, s, n)
+    start = time.perf_counter()
+    if kind == HOP:
+        mat, diameter, dense = _hop_matrix(*_csr(adjacency))
+        levels = f", {diameter} levels ({dense} bit-parallel, {diameter - dense} pushed)"
+    else:
+        mat = np.empty((n, n), dtype=np.int64)
+        for s in range(n):
+            mat[s, :] = _dijkstra_row(adjacency, s, n)
+        diameter, levels = int(mat.max()), ""
     mat.setflags(write=False)
-    return DistanceMatrix(metric_kind=kind, dist=mat, diameter=int(mat.max()))
+    logger.debug(
+        "all-pairs %s: n = %d, diameter %d%s, %.3f s",
+        kind, n, diameter, levels, time.perf_counter() - start,
+    )
+    return DistanceMatrix(metric_kind=kind, dist=mat, diameter=diameter)
 
 
 def distinct_distances(dm: DistanceMatrix) -> np.ndarray:

@@ -299,6 +299,20 @@ class TestCompare:
         assert "/no/such/file.txt" in stderr
 
 
+class TestDefaultThreads:
+    def test_counts_usable_cpus_not_machine_cpus(self, monkeypatch):
+        monkeypatch.delenv(cli.THREADS_ENV, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 9}, raising=False)
+        assert cli._default_threads() == 3
+
+    def test_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delenv(cli.THREADS_ENV, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert cli._default_threads() == 5
+
+
 def test_write_read_series_csv_round_trip(tmp_path, karate):
     dm = bd.all_pairs(karate, bd.HOP)
     sizes = (1, 2, 3, 4, 5)

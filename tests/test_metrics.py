@@ -1,12 +1,64 @@
+import logging
+import re
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import boxdim as bd
+from boxdim import metrics
 from boxdim.metrics import _bfs_row, _dijkstra_row
 
 from conftest import floyd_warshall, graph_weighted_edges, random_connected_graph
+
+# (push limit, planes) that run every hop level by pushing pairs, the
+# default mix, every level bit-parallel, and every level bit-parallel with
+# the bit-sliced levels added into the matrix every three levels
+KERNEL_SETTINGS = {
+    "pushed": (0, metrics._PLANES),
+    "mixed": (metrics._PUSH_CELLS, metrics._PLANES),
+    "bit-parallel": (10**18, metrics._PLANES),
+    "bit-parallel, 2 planes": (10**18, 2),
+}
+
+
+def path_graph(n: int) -> bd.Graph:
+    return bd.Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def grid_graph(k: int) -> bd.Graph:
+    right = [(r * k + c, r * k + c + 1) for r in range(k) for c in range(k - 1)]
+    down = [(r * k + c, (r + 1) * k + c) for r in range(k - 1) for c in range(k)]
+    return bd.Graph.from_edges(k * k, right + down)
+
+
+def hop_all_pairs(g: bd.Graph, setting: str):
+    """``all_pairs`` under hop with the kernel setting applied; checks the
+    kernel's level counts for that call."""
+    push_cells, planes = KERNEL_SETTINGS[setting]
+    hop_matrix = metrics._hop_matrix
+    runs = []
+
+    def recorded(indptr, indices):
+        out = hop_matrix(indptr, indices)
+        runs.append(out[1:])
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "_PUSH_CELLS", push_cells)
+        mp.setattr(metrics, "_PLANES", planes)
+        mp.setattr(metrics, "_hop_matrix", recorded)
+        dm = bd.all_pairs(g, bd.HOP)
+    ((levels, dense),) = runs
+    assert dm.dist.dtype == np.int64 and not dm.dist.flags.writeable
+    assert levels == dm.diameter
+    if push_cells == 0:
+        assert dense == 0
+    elif push_cells == 10**18:
+        assert dense == levels
+    return dm
 
 
 class TestEdgeRepulsiveForce:
@@ -105,7 +157,8 @@ class TestAllPairs:
             assert dm.dist.tolist() == oracle
 
     def test_pure_python_rows_match(self):
-        # all_pairs must assemble exactly the rows the per-source traversals give
+        # the numpy hop kernel must give exactly the rows of the _bfs_row
+        # oracle, and all_pairs the rows _dijkstra_row gives per source
         g = random_connected_graph(25, 30, seed=11)
         wg = bd.edge_repulsive_force(g)
         hop = bd.all_pairs(g, bd.HOP)
@@ -113,6 +166,66 @@ class TestAllPairs:
         for s in range(g.node_count):
             assert hop.dist[s].tolist() == _bfs_row(g.adjacency, s, g.node_count)
             assert rep.dist[s].tolist() == _dijkstra_row(wg.weighted_adjacency, s, g.node_count)
+
+
+    def test_one_debug_line_per_call_not_per_level(self, caplog):
+        g = path_graph(65)
+        with caplog.at_level(logging.DEBUG, logger="boxdim.metrics"):
+            bd.all_pairs(g, bd.HOP)
+            bd.all_pairs(bd.edge_repulsive_force(g), bd.REPULSION)
+        lines = [r.getMessage() for r in caplog.records if r.name == "boxdim.metrics"]
+        assert len(lines) == 2
+        hop = re.fullmatch(
+            r"all-pairs hop: n = 65, diameter 64, 64 levels "
+            r"\((\d+) bit-parallel, (\d+) pushed\), \d+\.\d{3} s",
+            lines[0],
+        )
+        assert hop and int(hop[1]) + int(hop[2]) == 64
+        assert re.fullmatch(r"all-pairs repulsion: n = 65, diameter \d+, \d+\.\d{3} s", lines[1])
+
+
+FIXED_SHAPES = {
+    "single node": lambda: bd.Graph.from_edges(1, []),
+    "single edge": lambda: path_graph(2),
+    "path 63": lambda: path_graph(63),
+    "path 64": lambda: path_graph(64),
+    "path 65": lambda: path_graph(65),
+    "path 129": lambda: path_graph(129),
+    "star 100": lambda: bd.Graph.from_edges(100, [(0, i) for i in range(1, 100)]),
+    "K10": lambda: bd.Graph.from_edges(10, combinations(range(10), 2)),
+    "grid 20x20": lambda: grid_graph(20),
+    **{
+        f"sierpinski {level}": (lambda level=level: bd.generate_sierpinski(level).graph)
+        for level in range(4)
+    },
+}
+
+
+@pytest.mark.parametrize("setting", list(KERNEL_SETTINGS))
+@pytest.mark.parametrize("shape", list(FIXED_SHAPES))
+def test_hop_kernel_fixed_shapes(shape, setting):
+    # word boundaries (63/64/65/129 nodes), one hub, a clique, a long grid
+    # and the benchmark family, under every kernel setting
+    g = FIXED_SHAPES[shape]()
+    dm = hop_all_pairs(g, setting)
+    n = g.node_count
+    assert dm.dist.tolist() == [_bfs_row(g.adjacency, s, n) for s in range(n)]
+
+
+@st.composite
+def kernel_graphs(draw):
+    # up to 140 nodes, so bit rows span one to three 64-bit words
+    n = draw(st.integers(2, 140))
+    return random_connected_graph(n, draw(st.integers(0, 2 * n)), seed=draw(st.integers(0, 10**6)))
+
+
+@given(kernel_graphs(), st.sampled_from(list(KERNEL_SETTINGS)))
+@settings(max_examples=40, deadline=None)
+def test_hop_kernel_matches_oracles(g, setting):
+    dm = hop_all_pairs(g, setting)
+    n = g.node_count
+    assert dm.dist.tolist() == [_bfs_row(g.adjacency, s, n) for s in range(n)]
+    assert dm.dist.tolist() == floyd_warshall(n, graph_weighted_edges(g, bd.HOP))
 
 
 class TestDistinctDistances:
