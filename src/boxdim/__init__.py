@@ -28,7 +28,6 @@ from .generators import MAX_SIERPINSKI_LEVEL, SierpinskiModule, generate_sierpin
 from .graphs import (
     EdgeListError,
     Graph,
-    connected_components,
     degrees,
     is_connected,
     largest_component,
@@ -69,7 +68,6 @@ __all__ = [
     "analyze_matrix",
     "brute_force_min_boxes",
     "build_schedule",
-    "connected_components",
     "covering_counts",
     "degrees",
     "distinct_distances",

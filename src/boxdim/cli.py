@@ -26,8 +26,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_ANALYSIS = 3
 
-THREADS_ENV = "BOXDIM_THREADS"
-
 logger = logging.getLogger(__name__)
 
 
@@ -36,12 +34,6 @@ class InputError(Exception):
 
 
 def _default_threads() -> int:
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            logger.warning("ignoring non-integer %s=%r", THREADS_ENV, env)
     # the CPUs this process may run on, which a container or taskset can narrow
     if hasattr(os, "sched_getaffinity"):
         usable = len(os.sched_getaffinity(0))
@@ -83,7 +75,7 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
         "--threads",
         type=int,
         default=None,
-        help=f"worker processes for trials (default: ${THREADS_ENV} or usable CPUs, at most 8)",
+        help="worker processes for trials (default: usable CPUs, at most 8)",
     )
     p.add_argument("--csv", metavar="PATH", help="scaling series CSV path")
     p.add_argument("--json", metavar="PATH", help="run summary JSON path")

@@ -1,8 +1,7 @@
-"""Simple undirected graphs: edge-list ingestion, components, degrees."""
+"""Simple undirected graphs as numpy CSR arrays: edge-list ingestion, components, degrees."""
 from __future__ import annotations
 
 import logging
-from collections import deque
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
@@ -23,20 +22,34 @@ class EdgeListError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Simple undirected graph over dense node ids 0..node_count-1.
+    """Simple undirected graph over dense node ids 0..node_count-1, as CSR arrays.
 
-    Edges are stored as sorted (u, v) pairs with u < v; no self-loops, no
-    duplicates. Instances are immutable and safe to share across threads.
+    Node u's neighbours are ``indices[indptr[u]:indptr[u + 1]]``, ascending;
+    every edge is stored as two arcs, one per endpoint. Both arrays are
+    read-only int64; no self-loops, no duplicates. Instances are immutable and
+    safe to share across threads and fork workers.
     """
 
     node_count: int
-    edges: tuple[tuple[int, int], ...]
-    adjacency: tuple[tuple[int, ...], ...]
+    indptr: np.ndarray
+    indices: np.ndarray
     node_labels: tuple[str, ...] | None = None
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return self.indices.size // 2
+
+    @property
+    def arc_rows(self) -> np.ndarray:
+        """The node each stored arc leaves, aligned with ``indices``."""
+        return np.repeat(np.arange(self.node_count), np.diff(self.indptr))
+
+    @property
+    def edges(self) -> np.ndarray:
+        """The (edge_count, 2) pairs (u, v) with u < v, in ascending order."""
+        rows = self.arc_rows
+        upper = rows < self.indices
+        return np.column_stack((rows[upper], self.indices[upper]))
 
     def label(self, node: int) -> str:
         if self.node_labels is not None:
@@ -50,37 +63,35 @@ class Graph:
         edges: Iterable[tuple[int, int]],
         node_labels: Sequence[str] | None = None,
     ) -> "Graph":
-        """Build a validated graph from an iterable of node-id pairs."""
+        """Build a validated graph from node-id pairs; the first bad pair is reported."""
         if node_count < 0:
             raise ValueError("node_count must be non-negative")
-        normalized = []
-        seen: set[tuple[int, int]] = set()
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if not (0 <= u < node_count and 0 <= v < node_count):
-                raise ValueError(f"edge ({u},{v}) out of range for {node_count} nodes")
-            if u == v:
-                raise ValueError(f"self-loop at node {u}")
-            pair = (u, v) if u < v else (v, u)
-            if pair in seen:
-                raise ValueError(f"duplicate edge {pair}")
-            seen.add(pair)
-            normalized.append(pair)
-        normalized.sort()
-        neighbors: list[list[int]] = [[] for _ in range(node_count)]
-        for u, v in normalized:
-            neighbors[u].append(v)
-            neighbors[v].append(u)
+        u, v = np.array(list(edges), dtype=np.int64).reshape(-1, 2).T
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        outside = (lo < 0) | (hi >= node_count)
+        key = np.where(outside, -1, lo * node_count + hi)
+        repeat = np.ones(key.size, dtype=bool)
+        repeat[np.unique(key, return_index=True)[1]] = False
+        bad = np.flatnonzero(outside | (lo == hi) | repeat)
+        if bad.size:
+            i = bad[0]
+            if outside[i]:
+                raise ValueError(f"edge ({u[i]},{v[i]}) out of range for {node_count} nodes")
+            if lo[i] == hi[i]:
+                raise ValueError(f"self-loop at node {u[i]}")
+            raise ValueError(f"duplicate edge {(int(lo[i]), int(hi[i]))}")
         if node_labels is not None:
             node_labels = tuple(str(s) for s in node_labels)
             if len(node_labels) != node_count:
                 raise ValueError("node_labels length must equal node_count")
-        return cls(
-            node_count=node_count,
-            edges=tuple(normalized),
-            adjacency=tuple(tuple(sorted(ns)) for ns in neighbors),
-            node_labels=node_labels,
-        )
+        rows, cols = np.concatenate((lo, hi)), np.concatenate((hi, lo))
+        order = np.lexsort((cols, rows))
+        indptr = np.zeros(node_count + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=node_count), out=indptr[1:])
+        indices = cols[order]
+        indptr.setflags(write=False)
+        indices.setflags(write=False)
+        return cls(node_count, indptr, indices, node_labels)
 
 
 def load_edge_list(
@@ -152,7 +163,7 @@ def read_edge_list(path, **kwargs) -> Graph:
 def save_edge_list(g: Graph, target: str | IO[str]) -> None:
     """Write one "label label" pair per line, sorted by id pair, UTF-8."""
     if hasattr(target, "write"):
-        for u, v in g.edges:
+        for u, v in g.edges.tolist():
             target.write(f"{g.label(u)} {g.label(v)}\n")
         return
     with open(target, "w", encoding="utf-8", newline="\n") as fh:
@@ -161,40 +172,32 @@ def save_edge_list(g: Graph, target: str | IO[str]) -> None:
 
 def degrees(g: Graph) -> np.ndarray:
     """Degree of every node, as an int64 vector."""
-    out = np.fromiter((len(ns) for ns in g.adjacency), dtype=np.int64, count=g.node_count)
+    out = np.diff(g.indptr)
     out.setflags(write=False)
     return out
 
 
-def _component_nodes(g: Graph, start: int, assigned: list[int], mark: int) -> list[int]:
-    nodes = [start]
-    assigned[start] = mark
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in g.adjacency[u]:
-            if assigned[v] < 0:
-                assigned[v] = mark
-                nodes.append(v)
-                queue.append(v)
-    return nodes
+def _component_roots(g: Graph) -> np.ndarray:
+    """The smallest node id of each node's component.
 
-
-def connected_components(g: Graph) -> list[list[int]]:
-    """Connected components as sorted node lists, ordered by smallest member."""
-    assigned = [-1] * g.node_count
-    comps = []
-    for s in range(g.node_count):
-        if assigned[s] < 0:
-            comps.append(sorted(_component_nodes(g, s, assigned, len(comps))))
-    return comps
+    Each round hooks the labels of every arc's ends to the smaller one, then
+    jumps label pointers until each label is its own. A label is always a node
+    of the component no larger than its holder, so once no arc joins two
+    labels, each component holds one: its smallest id.
+    """
+    label = np.arange(g.node_count)
+    rows = g.arc_rows
+    while True:
+        before = label.copy()
+        np.minimum.at(label, label[rows], label[g.indices])
+        while not np.array_equal(label[label], label):
+            label = label[label]
+        if np.array_equal(label, before):
+            return label
 
 
 def is_connected(g: Graph) -> bool:
-    if g.node_count <= 1:
-        return True
-    assigned = [-1] * g.node_count
-    return len(_component_nodes(g, 0, assigned, 0)) == g.node_count
+    return not _component_roots(g).any()
 
 
 def largest_component(g: Graph) -> Graph:
@@ -206,21 +209,23 @@ def largest_component(g: Graph) -> Graph:
     """
     if g.node_count == 0:
         raise ValueError("empty graph")
-    comps = connected_components(g)
-    if len(comps) == 1:
+    roots = _component_roots(g)
+    # first maximum: the component whose smallest id is smallest
+    root = int(np.argmax(np.bincount(roots, minlength=g.node_count)))
+    keep = np.flatnonzero(roots == root)
+    if keep.size == g.node_count:
         return g
-    keep = max(comps, key=len)  # first maximum: smallest min node id
-    remap = {old: new for new, old in enumerate(keep)}
-    kept = set(keep)
-    edges = [(remap[u], remap[v]) for u, v in g.edges if u in kept and v in kept]
+    remap = np.full(g.node_count, -1, dtype=np.int64)
+    remap[keep] = np.arange(keep.size)
+    edges = g.edges
+    edges = remap[edges[roots[edges[:, 0]] == root]]
     labels = None
     if g.node_labels is not None:
         labels = [g.node_labels[old] for old in keep]
-    discarded = g.node_count - len(keep)
     logger.warning(
         "input graph is disconnected; keeping largest component "
         "(%d nodes, discarding %d)",
-        len(keep),
-        discarded,
+        keep.size,
+        g.node_count - keep.size,
     )
-    return Graph.from_edges(len(keep), edges, labels)
+    return Graph.from_edges(keep.size, edges, labels)

@@ -8,17 +8,19 @@ Two node-to-node metrics are supported:
   force over all connecting paths. High-degree hubs are thus pushed far apart
   even when directly linked.
 
-All distances are computed and stored as exact integers, so downstream
-threshold tests never hit floating-point ties. ``all_pairs`` has one
+Repulsion weights are one int64 per stored arc, aligned with the graph's CSR
+``indices``. All distances are computed and stored as exact integers, so
+downstream threshold tests never hit floating-point ties. ``all_pairs`` has one
 implementation per metric. Hops come from one level-synchronous breadth-first
-search from every source at once, in numpy, with the reached set held as an
-n x n bit matrix: a level with a large frontier ORs each node's neighbours'
-frontier bits, and a level with a small one pushes its (node, source) pairs
-along their edges, so long-diameter graphs do not pay a matrix pass per level
-(the direction-switching idea of Beamer et al., SC 2012). Pushed levels are
-written into the matrix cell by cell; bit-parallel ones are held bit-sliced
-and added in one pass. Repulsion runs a pure-Python binary-heap Dijkstra per
-source.
+search from every source at once, in numpy on the CSR arrays, with the reached
+set held as an n x n bit matrix: a level with a large frontier ORs each node's
+neighbours' frontier bits, and a level with a small one pushes its (node,
+source) pairs along their edges, so long-diameter graphs do not pay a matrix
+pass per level (the direction-switching idea of Beamer et al., SC 2012). Pushed
+levels are written into the matrix cell by cell; bit-parallel ones are held
+bit-sliced and added in one pass. Repulsion runs a pure-Python binary-heap
+Dijkstra per source, over (neighbour, weight) lists read from the arrays once
+per call.
 """
 from __future__ import annotations
 
@@ -27,7 +29,6 @@ import logging
 import time
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -38,7 +39,8 @@ logger = logging.getLogger(__name__)
 HOP = "hop"
 REPULSION = "repulsion"
 
-DEFAULT_CELL_CAP = 10**9
+# all_pairs refuses larger matrices (8 GB of int64)
+MAX_CELLS = 10**9
 
 # A hop level pushes its (node, source) pairs along their edges while it has
 # fewer than n * n / _PUSH_CELLS of them to push: one push costs about as much
@@ -62,19 +64,17 @@ _BIT = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
 class WeightedGraph:
     """A graph whose edges carry positive integer repulsion forces.
 
-    ``forces[k]`` is the weight of ``graph.edges[k]``; ``weighted_adjacency``
-    mirrors ``graph.adjacency`` with (neighbor, force) pairs.
+    ``weights`` is a read-only int64 array with one weight per stored arc,
+    aligned with ``graph.indices``; both arcs of an edge carry its force.
     """
 
     graph: Graph
-    forces: tuple[int, ...]
-    weighted_adjacency: tuple[tuple[tuple[int, int], ...], ...]
+    weights: np.ndarray
 
-    def force(self, u: int, v: int) -> int:
-        for nbr, w in self.weighted_adjacency[u]:
-            if nbr == v:
-                return w
-        raise KeyError(f"no edge ({u},{v})")
+    @property
+    def forces(self) -> np.ndarray:
+        """The force of each edge, in ``graph.edges`` order."""
+        return self.weights[self.graph.arc_rows < self.graph.indices]
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,39 +103,34 @@ def edge_repulsive_force(g: Graph) -> WeightedGraph:
         raise ValueError("no edges to weight")
     if not is_connected(g):
         raise ValueError("graph must be connected; extract the largest component first")
-    deg = [len(ns) for ns in g.adjacency]
-    forces = tuple(deg[u] * deg[v] for u, v in g.edges)
-    wadj: list[list[tuple[int, int]]] = [[] for _ in range(g.node_count)]
-    for (u, v), f in zip(g.edges, forces):
-        wadj[u].append((v, f))
-        wadj[v].append((u, f))
-    return WeightedGraph(
-        graph=g,
-        forces=forces,
-        weighted_adjacency=tuple(tuple(sorted(ns)) for ns in wadj),
-    )
+    deg = np.diff(g.indptr)
+    weights = deg[g.arc_rows] * deg[g.indices]
+    weights.setflags(write=False)
+    return WeightedGraph(graph=g, weights=weights)
 
 
-def _bfs_row(adjacency, source: int, n: int) -> list[int]:
+def _neighbour_lists(g: Graph, weights: np.ndarray | None = None) -> list[list]:
+    """Each node's neighbours as a Python list, as (neighbour, weight) pairs
+    when weighted, for the per-source Python traversals."""
+    flat = g.indices.tolist()
+    if weights is not None:
+        flat = list(zip(flat, weights.tolist()))
+    bounds = g.indptr.tolist()
+    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _bfs_row(neighbours, source: int, n: int) -> list[int]:
     dist = [-1] * n
     dist[source] = 0
     queue = deque([source])
     while queue:
         u = queue.popleft()
         du = dist[u] + 1
-        for v in adjacency[u]:
+        for v in neighbours[u]:
             if dist[v] < 0:
                 dist[v] = du
                 queue.append(v)
     return dist
-
-
-def _csr(adjacency) -> tuple[np.ndarray, np.ndarray]:
-    n = len(adjacency)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum([len(ns) for ns in adjacency], out=indptr[1:])
-    indices = np.fromiter(chain.from_iterable(adjacency), dtype=np.int64, count=int(indptr[-1]))
-    return indptr, indices
 
 
 def _hop_matrix(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, int, int]:
@@ -287,7 +282,7 @@ def _bit_pairs(bits) -> tuple[np.ndarray, np.ndarray]:
     return rows[k], cols[k] * 64 + b
 
 
-def _dijkstra_row(weighted_adjacency, source: int, n: int) -> list[int]:
+def _dijkstra_row(neighbours, source: int, n: int) -> list[int]:
     # Plain binary-heap Dijkstra over Python ints: exact for any 64-bit sums.
     dist: list[int | None] = [None] * n
     heap = [(0, source)]
@@ -300,24 +295,24 @@ def _dijkstra_row(weighted_adjacency, source: int, n: int) -> list[int]:
         remaining -= 1
         if remaining == 0:
             break
-        for v, w in weighted_adjacency[u]:
+        for v, w in neighbours[u]:
             if dist[v] is None:
                 heapq.heappush(heap, (d + w, v))
     return dist  # type: ignore[return-value]
 
 
 def _resolve(g: Graph | WeightedGraph, metric: str | None):
-    """Pick (graph, adjacency-for-metric, metric_kind) for either input type."""
+    """Pick (graph, arc weights or None for hops, metric_kind) for either input type."""
     if isinstance(g, WeightedGraph):
         metric = metric or REPULSION
         if metric == REPULSION:
-            return g.graph, g.weighted_adjacency, REPULSION
+            return g.graph, g.weights, REPULSION
         if metric == HOP:
-            return g.graph, g.graph.adjacency, HOP
+            return g.graph, None, HOP
     elif isinstance(g, Graph):
         metric = metric or HOP
         if metric == HOP:
-            return g, g.adjacency, HOP
+            return g, None, HOP
         if metric == REPULSION:
             raise TypeError("repulsion metric needs a WeightedGraph; call edge_repulsive_force first")
     else:
@@ -333,11 +328,12 @@ def shortest_paths_from(
     Hop mode runs breadth-first search; repulsion mode runs Dijkstra over the
     integer force weights. The graph must be connected.
     """
-    graph, adjacency, kind = _resolve(g, metric)
+    graph, weights, kind = _resolve(g, metric)
     n = graph.node_count
     if not (0 <= source < n):
         raise ValueError(f"source {source} out of range")
-    row = _bfs_row(adjacency, source, n) if kind == HOP else _dijkstra_row(adjacency, source, n)
+    nbrs = _neighbour_lists(graph, weights)
+    row = _bfs_row(nbrs, source, n) if kind == HOP else _dijkstra_row(nbrs, source, n)
     if any(d is None or d < 0 for d in row):
         raise ValueError("graph is not connected")
     out = np.asarray(row, dtype=np.int64)
@@ -345,37 +341,33 @@ def shortest_paths_from(
     return out
 
 
-def all_pairs(
-    g: Graph | WeightedGraph,
-    metric: str | None = None,
-    cell_cap: int = DEFAULT_CELL_CAP,
-) -> DistanceMatrix:
+def all_pairs(g: Graph | WeightedGraph, metric: str | None = None) -> DistanceMatrix:
     """All-pairs distance matrix under the chosen metric.
 
     Hops run one breadth-first search from all sources at once; repulsion runs
     one Dijkstra pass per node. The full symmetric matrix is stored densely.
-    Refuses matrices above ``cell_cap`` cells; analyze a subsample or raise
-    the cap explicitly for larger graphs. Logs one debug line per call.
+    Refuses matrices above ``MAX_CELLS`` cells; analyze a subsample of larger
+    graphs. Logs one debug line per call.
     """
-    graph, adjacency, kind = _resolve(g, metric)
+    graph, weights, kind = _resolve(g, metric)
     n = graph.node_count
     if n == 0:
         raise ValueError("empty graph")
-    if n * n > cell_cap:
+    if n * n > MAX_CELLS:
         raise ValueError(
-            f"distance matrix would need {n * n} cells (cap {cell_cap}); "
-            "subsample the graph or raise cell_cap"
+            f"distance matrix would need {n * n} cells (cap {MAX_CELLS}); subsample the graph"
         )
     if not is_connected(graph):
         raise ValueError("graph must be connected; extract the largest component first")
     start = time.perf_counter()
     if kind == HOP:
-        mat, diameter, dense = _hop_matrix(*_csr(adjacency))
+        mat, diameter, dense = _hop_matrix(graph.indptr, graph.indices)
         levels = f", {diameter} levels ({dense} bit-parallel, {diameter - dense} pushed)"
     else:
+        nbrs = _neighbour_lists(graph, weights)
         mat = np.empty((n, n), dtype=np.int64)
         for s in range(n):
-            mat[s, :] = _dijkstra_row(adjacency, s, n)
+            mat[s, :] = _dijkstra_row(nbrs, s, n)
         diameter, levels = int(mat.max()), ""
     mat.setflags(write=False)
     logger.debug(

@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 import os
 import signal
+from collections import deque
 from contextlib import contextmanager
 
 import numpy as np
@@ -47,6 +48,43 @@ def random_connected_graph(n: int, extra_edges: int, seed: int) -> bd.Graph:
         if u != v:
             edges.add((min(u, v), max(u, v)))
     return bd.Graph.from_edges(n, sorted(edges))
+
+
+def csr_rows(g: bd.Graph, weights=None) -> list[list]:
+    """Each node's row of the CSR arrays as a Python list: its neighbours, or
+    (neighbour, weight) pairs when arc weights are given."""
+    rows = []
+    for a, b in zip(g.indptr[:-1].tolist(), g.indptr[1:].tolist()):
+        nbrs = g.indices[a:b].tolist()
+        rows.append(nbrs if weights is None else list(zip(nbrs, weights[a:b].tolist())))
+    return rows
+
+
+def bfs_components(n: int, pairs) -> list[list[int]]:
+    """Connected components by breadth-first search over Python lists built
+    from the pairs, as sorted node lists ordered by smallest member.
+
+    The reference for the library's numpy component labelling.
+    """
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, v in pairs:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    assigned = [False] * n
+    comps = []
+    for s in range(n):
+        if assigned[s]:
+            continue
+        assigned[s] = True
+        nodes, queue = [s], deque([s])
+        while queue:
+            for v in nbrs[queue.popleft()]:
+                if not assigned[v]:
+                    assigned[v] = True
+                    nodes.append(v)
+                    queue.append(v)
+        comps.append(sorted(nodes))
+    return comps
 
 
 def floyd_warshall(n: int, weighted_edges) -> list[list[float]]:

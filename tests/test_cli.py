@@ -301,13 +301,11 @@ class TestCompare:
 
 class TestDefaultThreads:
     def test_counts_usable_cpus_not_machine_cpus(self, monkeypatch):
-        monkeypatch.delenv(cli.THREADS_ENV, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 9}, raising=False)
         assert cli._default_threads() == 3
 
     def test_falls_back_to_cpu_count(self, monkeypatch):
-        monkeypatch.delenv(cli.THREADS_ENV, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 5)
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         assert cli._default_threads() == 5
@@ -328,11 +326,15 @@ def test_write_read_series_csv_round_trip(tmp_path, karate):
 
 
 def test_runtime_imports_neither_scipy_nor_numba():
-    # either import would add its load time and memory to every CLI run
+    # either import would add its load time and memory to every CLI run; the
+    # disconnected input also takes the component extraction path
     script = (
         "import sys\n"
         "import boxdim, boxdim.cli\n"
         "boxdim.analyze(boxdim.karate_club(), trials=2)\n"
+        "g = boxdim.largest_component(boxdim.load_edge_list('1 2\\n2 3\\n3 1\\nx y\\n'))\n"
+        "assert g.node_count == 3\n"
+        "boxdim.edge_repulsive_force(g)\n"
         "print(sorted(m for m in ('scipy', 'numba') if m in sys.modules))\n"
     )
     src = str(Path(bd.__file__).resolve().parents[1])

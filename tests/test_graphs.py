@@ -1,5 +1,6 @@
 import io
 import logging
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 import boxdim as bd
 from boxdim.graphs import EdgeListError
+
+from conftest import bfs_components
 
 
 class TestLoadEdgeList:
@@ -86,7 +89,8 @@ class TestGraphConstruction:
 
     def test_adjacency_matches_edges(self):
         g = bd.Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        assert g.adjacency == ((1,), (0, 2), (1, 3), (2,))
+        assert g.indptr.tolist() == [0, 1, 3, 5, 6]
+        assert g.indices.tolist() == [1, 0, 2, 1, 3, 2]
 
 
 class TestDegrees:
@@ -165,3 +169,49 @@ def test_reload_preserves_structure(pairs):
     assert g2.node_count == g.node_count
     assert g2.edge_count == g.edge_count
     assert sorted(bd.degrees(g2)) == sorted(bd.degrees(g))
+
+
+@st.composite
+def simple_edge_lists(draw):
+    """(node count, distinct non-loop pairs in random order and orientation).
+
+    At most 20 pairs over 1-15 nodes, so most graphs have several
+    components, isolated edges and isolated nodes.
+    """
+    n = draw(st.integers(1, 15))
+    raw = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=20))
+    pairs = draw(st.permutations(sorted({(min(a, b), max(a, b)) for a, b in raw if a != b})))
+    flips = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return n, [(v, u) if flip else (u, v) for (u, v), flip in zip(pairs, flips)]
+
+
+@given(simple_edge_lists())
+@settings(max_examples=100, deadline=None)
+def test_csr_matches_neighbour_lists(spec):
+    n, pairs = spec
+    g = bd.Graph.from_edges(n, pairs)
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, v in pairs:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    nbrs = [sorted(ns) for ns in nbrs]
+    assert g.indptr.tolist() == [0, *accumulate(len(ns) for ns in nbrs)]
+    assert g.indices.tolist() == [v for ns in nbrs for v in ns]
+    assert g.edges.tolist() == sorted([min(u, v), max(u, v)] for u, v in pairs)
+    assert bd.degrees(g).tolist() == [len(ns) for ns in nbrs]
+    assert g.edge_count == len(pairs)
+    assert not g.indptr.flags.writeable and not g.indices.flags.writeable
+
+
+@given(simple_edge_lists())
+@settings(max_examples=100, deadline=None)
+def test_largest_component_matches_bfs_oracle(spec):
+    n, pairs = spec
+    labels = [f"v{i}" for i in range(n)]
+    comp = bd.largest_component(bd.Graph.from_edges(n, pairs, labels))
+    keep = max(bfs_components(n, pairs), key=len)  # first maximum: smallest id
+    new = {old: k for k, old in enumerate(keep)}
+    kept = sorted(sorted([new[u], new[v]]) for u, v in pairs if u in new)
+    assert comp.node_labels == tuple(labels[old] for old in keep)
+    assert comp.edge_count == len(kept)
+    assert comp.edges.tolist() == kept

@@ -11,7 +11,7 @@ import boxdim as bd
 from boxdim import metrics
 from boxdim.metrics import _bfs_row, _dijkstra_row
 
-from conftest import floyd_warshall, graph_weighted_edges, random_connected_graph
+from conftest import csr_rows, floyd_warshall, graph_weighted_edges, random_connected_graph
 
 # (push limit, planes) that run every hop level by pushing pairs, the
 # default mix, every level bit-parallel, and every level bit-parallel with
@@ -65,14 +65,15 @@ class TestEdgeRepulsiveForce:
     def test_worked_example_forces(self, example6):
         wg = bd.edge_repulsive_force(example6)
         # labels are 1..6 in id order; edge 5-6 has force 2, edge 1-3 force 6
-        assert wg.force(4, 5) == 2
-        assert wg.force(0, 2) == 6
+        force = dict(zip(map(tuple, wg.graph.edges.tolist()), wg.forces.tolist()))
+        assert force[(4, 5)] == 2
+        assert force[(0, 2)] == 6
         assert sorted(wg.forces) == [2, 4, 4, 6, 6, 6]
 
     def test_two_node_path(self):
         g = bd.Graph.from_edges(2, [(0, 1)])
         wg = bd.edge_repulsive_force(g)
-        assert wg.forces == (1,)
+        assert wg.forces.tolist() == [1]
 
     def test_force_is_degree_product(self):
         g = random_connected_graph(20, 25, seed=3)
@@ -141,7 +142,9 @@ class TestAllPairs:
 
     def test_cell_cap(self, karate):
         with pytest.raises(ValueError, match="subsample"):
-            bd.all_pairs(karate, bd.HOP, cell_cap=100)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(metrics, "MAX_CELLS", 100)
+                bd.all_pairs(karate, bd.HOP)
 
     def test_matrix_is_read_only(self, example6_hop):
         with pytest.raises(ValueError):
@@ -158,14 +161,16 @@ class TestAllPairs:
 
     def test_pure_python_rows_match(self):
         # the numpy hop kernel must give exactly the rows of the _bfs_row
-        # oracle, and all_pairs the rows _dijkstra_row gives per source
+        # oracle, and all_pairs the rows _dijkstra_row gives per source, both
+        # fed from the CSR arrays
         g = random_connected_graph(25, 30, seed=11)
         wg = bd.edge_repulsive_force(g)
         hop = bd.all_pairs(g, bd.HOP)
         rep = bd.all_pairs(wg, bd.REPULSION)
+        nbrs, weighted = csr_rows(g), csr_rows(g, wg.weights)
         for s in range(g.node_count):
-            assert hop.dist[s].tolist() == _bfs_row(g.adjacency, s, g.node_count)
-            assert rep.dist[s].tolist() == _dijkstra_row(wg.weighted_adjacency, s, g.node_count)
+            assert hop.dist[s].tolist() == _bfs_row(nbrs, s, g.node_count)
+            assert rep.dist[s].tolist() == _dijkstra_row(weighted, s, g.node_count)
 
 
     def test_one_debug_line_per_call_not_per_level(self, caplog):
@@ -208,8 +213,8 @@ def test_hop_kernel_fixed_shapes(shape, setting):
     # and the benchmark family, under every kernel setting
     g = FIXED_SHAPES[shape]()
     dm = hop_all_pairs(g, setting)
-    n = g.node_count
-    assert dm.dist.tolist() == [_bfs_row(g.adjacency, s, n) for s in range(n)]
+    n, nbrs = g.node_count, csr_rows(g)
+    assert dm.dist.tolist() == [_bfs_row(nbrs, s, n) for s in range(n)]
 
 
 @st.composite
@@ -223,8 +228,8 @@ def kernel_graphs(draw):
 @settings(max_examples=40, deadline=None)
 def test_hop_kernel_matches_oracles(g, setting):
     dm = hop_all_pairs(g, setting)
-    n = g.node_count
-    assert dm.dist.tolist() == [_bfs_row(g.adjacency, s, n) for s in range(n)]
+    n, nbrs = g.node_count, csr_rows(g)
+    assert dm.dist.tolist() == [_bfs_row(nbrs, s, n) for s in range(n)]
     assert dm.dist.tolist() == floyd_warshall(n, graph_weighted_edges(g, bd.HOP))
 
 
