@@ -14,7 +14,7 @@ EDGES = "1 2\n1 3\n2 3\n3 4\n4 5\n5 6\n"
 
 g = bd.load_edge_list(EDGES)
 print(f"graph: {g.node_count} nodes, {g.edge_count} edges")
-print("degrees:", dict(zip(g.node_labels, bd.degrees(g))))
+print("degrees:", dict(zip(g.node_labels, bd.degrees(g).tolist())))
 
 wg = bd.edge_repulsive_force(g)
 print("\nedge forces (degree products):")

@@ -11,8 +11,6 @@ from .covering import (
     brute_force_min_boxes,
     covering_counts,
     greedy_box_cover,
-    is_valid_covering,
-    run_trials,
 )
 from .dimension import (
     BoxSizeSchedule,
@@ -43,7 +41,6 @@ from .metrics import (
     all_pairs,
     distinct_distances,
     edge_repulsive_force,
-    shortest_paths_from,
 )
 
 __version__ = "0.1.0"
@@ -76,13 +73,10 @@ __all__ = [
     "generate_sierpinski",
     "greedy_box_cover",
     "is_connected",
-    "is_valid_covering",
     "karate_club",
     "largest_component",
     "load_edge_list",
     "read_edge_list",
-    "run_trials",
     "save_edge_list",
-    "shortest_paths_from",
     "__version__",
 ]

@@ -258,14 +258,6 @@ def greedy_box_cover(dm: DistanceMatrix, box_size, order: Sequence[int]) -> BoxC
     return BoxCovering(box_size=box_size, colors=colors, box_count=ncolors)
 
 
-def is_valid_covering(dm: DistanceMatrix, covering: BoxCovering) -> bool:
-    """Check that every same-colored pair lies at distance < box_size."""
-    colors = covering.colors
-    same = colors[:, None] == colors[None, :]
-    np.fill_diagonal(same, False)
-    return not bool((dm.dist[same] >= covering.box_size).any())
-
-
 def _trial_counts(plan: list, n: int, master_seed: int, trial: int) -> list[int]:
     order = np.random.default_rng((master_seed, trial)).permutation(n)
     pos = _positions(order)
@@ -332,18 +324,6 @@ def covering_counts(
         for t in range(trials):
             counts[:, t] = _trial_counts(plan, dm.n, master_seed, t)
     return counts
-
-
-def run_trials(
-    dm: DistanceMatrix,
-    box_size,
-    trials: int,
-    master_seed: int,
-    workers: int = 1,
-) -> TrialStatistics:
-    """Randomized greedy coverings at one box size, aggregated over trials."""
-    counts = covering_counts(dm, [box_size], trials, master_seed, workers=workers)
-    return TrialStatistics.from_counts(box_size, counts[0])
 
 
 def brute_force_min_boxes(dm: DistanceMatrix, box_size) -> int:

@@ -18,16 +18,17 @@ neighbours' frontier bits, and a level with a small one pushes its (node,
 source) pairs along their edges, so long-diameter graphs do not pay a matrix
 pass per level (the direction-switching idea of Beamer et al., SC 2012). Pushed
 levels are written into the matrix cell by cell; bit-parallel ones are held
-bit-sliced and added in one pass. Repulsion runs a pure-Python binary-heap
-Dijkstra per source, over (neighbour, weight) lists read from the arrays once
-per call.
+bit-sliced and added in one pass. Repulsion distances are relaxed from every
+source at once in exact int64 rounds over the same arrays, with the same
+per-round choice: a round with many cells to relax pulls, each row taking the
+minimum of itself and its neighbours' rows plus the arc weight, and a round
+with few pushes the cells that fell in the last round along their arcs. The
+rounds stop when one changes nothing.
 """
 from __future__ import annotations
 
-import heapq
 import logging
 import time
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +47,7 @@ MAX_CELLS = 10**9
 # fewer than n * n / _PUSH_CELLS of them to push: one push costs about as much
 # as this many cells of a bit-parallel level, whose work (ORing every node's
 # neighbour rows, counting the new bits, its share of the matrix pass) grows
-# with n * n whatever its frontier.
+# with n * n whatever its frontier. Repulsion rounds push by the same rule.
 _PUSH_CELLS = 48
 # Bit-parallel levels are held bit-sliced, plane k holding bit k of the
 # level's offset from a base, and added into the matrix at the end or when
@@ -57,6 +58,8 @@ _PLANES = 8
 _BLOCK_CELLS = 1 << 19
 # frontier words gathered at once by a bit-parallel level (a 4 MB block)
 _GATHER_WORDS = 1 << 19
+# matrix cells a pull round lowers at once (a 256 KB block, which stays in cache)
+_PULL_CELLS = 1 << 15
 _BIT = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
 
 
@@ -109,30 +112,6 @@ def edge_repulsive_force(g: Graph) -> WeightedGraph:
     return WeightedGraph(graph=g, weights=weights)
 
 
-def _neighbour_lists(g: Graph, weights: np.ndarray | None = None) -> list[list]:
-    """Each node's neighbours as a Python list, as (neighbour, weight) pairs
-    when weighted, for the per-source Python traversals."""
-    flat = g.indices.tolist()
-    if weights is not None:
-        flat = list(zip(flat, weights.tolist()))
-    bounds = g.indptr.tolist()
-    return [flat[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
-def _bfs_row(neighbours, source: int, n: int) -> list[int]:
-    dist = [-1] * n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u] + 1
-        for v in neighbours[u]:
-            if dist[v] < 0:
-                dist[v] = du
-                queue.append(v)
-    return dist
-
-
 def _hop_matrix(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, int, int]:
     """Hop distances of a connected CSR graph, by BFS from all sources at once.
 
@@ -176,13 +155,14 @@ def _hop_matrix(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, in
     return mat, level, dense
 
 
-def _degree_groups(indptr, indices) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(nodes, their neighbours as rows) for each degree, so the OR runs on equal-length rows."""
+def _degree_groups(indptr, arcs) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(nodes, their arcs' entries of ``arcs`` as rows) for each degree, so a
+    level or round runs on equal-length rows."""
     degree = np.diff(indptr)
     groups = []
     for d in np.unique(degree):
         nodes = np.flatnonzero(degree == d)
-        groups.append((nodes, indices[indptr[nodes, None] + np.arange(d)]))
+        groups.append((nodes, arcs[indptr[nodes, None] + np.arange(d)]))
     return groups
 
 
@@ -191,16 +171,22 @@ def _set_bits(bits, w, s) -> None:
     np.bitwise_or.at(bits.reshape(-1), w * bits.shape[1] + (s >> 6), _BIT[s & 63])
 
 
+def _arc_slots(indptr, u) -> tuple[np.ndarray, np.ndarray]:
+    """The arc index of every arc of each node in u, node by node, and each node's degree."""
+    deg = indptr[u + 1] - indptr[u]
+    ends = np.cumsum(deg)
+    # the k-th arc is arc k - (ends - deg)[i] of node u[i]
+    slot = np.repeat(indptr[u] + deg - ends, deg)
+    slot += np.arange(slot.size)
+    return slot, deg
+
+
 def _push_level(indptr, indices, pairs, reached, mat, level):
     """Next frontier from pushing each (node, source) pair along its edges."""
     u, s = pairs
     n = indptr.size - 1
     words = reached.shape[1]
-    deg = indptr[u + 1] - indptr[u]
-    ends = np.cumsum(deg)
-    # the k-th pushed edge is edge k - (ends - deg)[pair] of its pair's node
-    slot = np.repeat(indptr[u] + deg - ends, deg)
-    slot += np.arange(slot.size)
+    slot, deg = _arc_slots(indptr, u)
     w = indices[slot]
     s = np.repeat(s, deg)
     unreached = (reached.reshape(-1)[w * words + (s >> 6)] & _BIT[s & 63]) == 0
@@ -282,23 +268,69 @@ def _bit_pairs(bits) -> tuple[np.ndarray, np.ndarray]:
     return rows[k], cols[k] * 64 + b
 
 
-def _dijkstra_row(neighbours, source: int, n: int) -> list[int]:
-    # Plain binary-heap Dijkstra over Python ints: exact for any 64-bit sums.
-    dist: list[int | None] = [None] * n
-    heap = [(0, source)]
-    remaining = n
-    while heap:
-        d, u = heapq.heappop(heap)
-        if dist[u] is not None:
-            continue
-        dist[u] = d
-        remaining -= 1
-        if remaining == 0:
-            break
-        for v, w in neighbours[u]:
-            if dist[v] is None:
-                heapq.heappush(heap, (d + w, v))
-    return dist  # type: ignore[return-value]
+def _repulsion_matrix(indptr, indices, weights) -> tuple[np.ndarray, int, int]:
+    """Smallest-force distances of a connected weighted CSR graph, relaxed
+    from all sources at once.
+
+    Returns the (n, n) int64 matrix, the number of rounds and how many of
+    them pulled. Each round runs whichever step is cheaper for the cells that
+    fell in the last one; the rounds stop when one changes nothing.
+    """
+    n = indptr.size - 1
+    degree = np.diff(indptr)
+    groups = list(zip(_degree_groups(indptr, indices), _degree_groups(indptr, weights)))
+    # unreached is n**3: paths sum below it, and MAX_CELLS keeps it plus a weight far below 2**63
+    mat = np.full((n, n), n**3, dtype=np.int64)
+    np.fill_diagonal(mat, 0)
+    fell = np.zeros((n, n), dtype=bool)
+    # the cells that fell in the last round, as flat indices while they are few
+    keys: np.ndarray | None = np.arange(n) * (n + 1)
+    cost = indices.size  # arcs to push from those cells
+    rounds = pulled = 0
+    while cost:
+        rounds += 1
+        if keys is not None and cost * _PUSH_CELLS < n * n:
+            keys = _push_round(indptr, indices, weights, mat.reshape(-1), keys)
+            cost = int(degree[keys // n].sum())
+        else:
+            pulled += 1
+            cost = _pull_round(groups, mat, fell, degree)
+            keys = np.flatnonzero(fell) if cost * _PUSH_CELLS < n * n else None
+    return mat, rounds, pulled
+
+
+def _push_round(indptr, indices, weights, flat, keys) -> np.ndarray:
+    """Relax the arcs out of the cells at ``keys``; returns the cells that fell."""
+    n = indptr.size - 1
+    u, s = np.divmod(keys, n)
+    slot, deg = _arc_slots(indptr, u)
+    force = np.repeat(flat[keys], deg) + weights[slot]
+    key = indices[slot] * n + np.repeat(s, deg)
+    lower = force < flat[key]
+    key = key[lower]
+    np.minimum.at(flat, key, force[lower])
+    return np.unique(key)
+
+
+def _pull_round(groups, mat, fell, degree) -> int:
+    """Lower each row, in place, to its neighbours' rows plus the arc weight.
+
+    Marks the cells that fell in ``fell`` and returns how many arcs leave them.
+    """
+    n = mat.shape[0]
+    step = max(1, _PULL_CELLS // n)
+    cost = 0
+    for (nodes, nbrs), (_, wts) in groups:
+        for a in range(0, nodes.size, step):
+            rows = nodes[a : a + step]
+            low = mat[rows]
+            for j in range(nbrs.shape[1]):
+                np.minimum(low, mat[nbrs[a : a + step, j]] + wts[a : a + step, j, None], out=low)
+            down = low < mat[rows]
+            fell[rows] = down
+            mat[rows] = low
+            cost += int(np.count_nonzero(down, axis=1) @ degree[rows])
+    return cost
 
 
 def _resolve(g: Graph | WeightedGraph, metric: str | None):
@@ -320,32 +352,12 @@ def _resolve(g: Graph | WeightedGraph, metric: str | None):
     raise ValueError(f"unknown metric {metric!r}")
 
 
-def shortest_paths_from(
-    g: Graph | WeightedGraph, source: int, metric: str | None = None
-) -> np.ndarray:
-    """Single-source distances as an int64 row.
-
-    Hop mode runs breadth-first search; repulsion mode runs Dijkstra over the
-    integer force weights. The graph must be connected.
-    """
-    graph, weights, kind = _resolve(g, metric)
-    n = graph.node_count
-    if not (0 <= source < n):
-        raise ValueError(f"source {source} out of range")
-    nbrs = _neighbour_lists(graph, weights)
-    row = _bfs_row(nbrs, source, n) if kind == HOP else _dijkstra_row(nbrs, source, n)
-    if any(d is None or d < 0 for d in row):
-        raise ValueError("graph is not connected")
-    out = np.asarray(row, dtype=np.int64)
-    out.setflags(write=False)
-    return out
-
-
 def all_pairs(g: Graph | WeightedGraph, metric: str | None = None) -> DistanceMatrix:
     """All-pairs distance matrix under the chosen metric.
 
-    Hops run one breadth-first search from all sources at once; repulsion runs
-    one Dijkstra pass per node. The full symmetric matrix is stored densely.
+    Hops run one breadth-first search from all sources at once; repulsion
+    distances are relaxed from all sources at once, in rounds that each pull
+    or push. The full symmetric matrix is stored densely.
     Refuses matrices above ``MAX_CELLS`` cells; analyze a subsample of larger
     graphs. Logs one debug line per call.
     """
@@ -362,17 +374,15 @@ def all_pairs(g: Graph | WeightedGraph, metric: str | None = None) -> DistanceMa
     start = time.perf_counter()
     if kind == HOP:
         mat, diameter, dense = _hop_matrix(graph.indptr, graph.indices)
-        levels = f", {diameter} levels ({dense} bit-parallel, {diameter - dense} pushed)"
+        steps = f", {diameter} levels ({dense} bit-parallel, {diameter - dense} pushed)"
     else:
-        nbrs = _neighbour_lists(graph, weights)
-        mat = np.empty((n, n), dtype=np.int64)
-        for s in range(n):
-            mat[s, :] = _dijkstra_row(nbrs, s, n)
-        diameter, levels = int(mat.max()), ""
+        mat, rounds, pulled = _repulsion_matrix(graph.indptr, graph.indices, weights)
+        diameter = int(mat.max())
+        steps = f", {rounds} rounds ({pulled} pulled, {rounds - pulled} pushed)"
     mat.setflags(write=False)
     logger.debug(
         "all-pairs %s: n = %d, diameter %d%s, %.3f s",
-        kind, n, diameter, levels, time.perf_counter() - start,
+        kind, n, diameter, steps, time.perf_counter() - start,
     )
     return DistanceMatrix(metric_kind=kind, dist=mat, diameter=diameter)
 

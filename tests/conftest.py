@@ -1,6 +1,7 @@
 """Shared fixtures and independent oracles for the test suite."""
 from __future__ import annotations
 
+import heapq
 import math
 import os
 import signal
@@ -58,6 +59,39 @@ def csr_rows(g: bd.Graph, weights=None) -> list[list]:
         nbrs = g.indices[a:b].tolist()
         rows.append(nbrs if weights is None else list(zip(nbrs, weights[a:b].tolist())))
     return rows
+
+
+def bfs_row(neighbours, source: int, n: int) -> list[int]:
+    """Hop distances from one source by breadth-first search over
+    ``csr_rows(g)``; -1 marks a node it does not reach."""
+    dist = [-1] * n
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        du = dist[u] + 1
+        for v in neighbours[u]:
+            if dist[v] < 0:
+                dist[v] = du
+                queue.append(v)
+    return dist
+
+
+def dijkstra_row(neighbours, source: int, n: int) -> list:
+    """Smallest-weight distances from one source by binary-heap Dijkstra over
+    ``csr_rows(g, weights)``, in Python ints; None marks a node it does not
+    reach. The reference for the library's repulsion kernel."""
+    dist: list = [None] * n
+    heap = [(0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if dist[u] is not None:
+            continue
+        dist[u] = d
+        for v, w in neighbours[u]:
+            if dist[v] is None:
+                heapq.heappush(heap, (d + w, v))
+    return dist
 
 
 def bfs_components(n: int, pairs) -> list[list[int]]:
@@ -136,6 +170,20 @@ def dense_greedy_colors(dp: np.ndarray, box_size) -> tuple[np.ndarray, int]:
         if c == ncolors:
             ncolors += 1
     return colors, ncolors
+
+
+def is_valid_covering(dm: bd.DistanceMatrix, covering: bd.BoxCovering) -> bool:
+    """Check that every same-colored pair lies at distance < box_size."""
+    colors = covering.colors
+    same = colors[:, None] == colors[None, :]
+    np.fill_diagonal(same, False)
+    return not bool((dm.dist[same] >= covering.box_size).any())
+
+
+def trial_stats(dm: bd.DistanceMatrix, box_size: int, trials: int, master_seed: int):
+    """Box-count statistics of the greedy trials at one box size."""
+    counts = bd.covering_counts(dm, [box_size], trials, master_seed)
+    return bd.TrialStatistics.from_counts(box_size, counts[0])
 
 
 def graph_weighted_edges(g: bd.Graph, metric: str):

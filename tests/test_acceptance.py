@@ -23,7 +23,9 @@ from conftest import (
     WORKED_EXAMPLE_TEXT,
     floyd_warshall,
     graph_weighted_edges,
+    is_valid_covering,
     random_connected_graph,
+    trial_stats,
 )
 
 SIERPINSKI_TARGET = math.log(3) / math.log(2)  # 1.5850
@@ -41,7 +43,7 @@ def test_criterion_1_worked_example_golden(example6, example6_repulsion):
     assert bd.distinct_distances(example6_repulsion).tolist() == [2, 4, 6, 10, 12, 16, 18]
     cov = bd.greedy_box_cover(example6_repulsion, 10, range(6))
     assert cov.box_count == 2
-    assert bd.is_valid_covering(example6_repulsion, cov)
+    assert is_valid_covering(example6_repulsion, cov)
     assert bd.brute_force_min_boxes(example6_repulsion, 10) == 2
     ok(1, "worked-example golden values; all-orders sub-claim tracked separately")
 
@@ -138,7 +140,7 @@ def test_criterion_6_greedy_vs_exact_oracle():
         dm = bd.all_pairs(arg, metric)
         for lb in bd.distinct_distances(dm):
             cov = bd.greedy_box_cover(dm, int(lb), rng.permutation(dm.n))
-            assert bd.is_valid_covering(dm, cov)
+            assert is_valid_covering(dm, cov)
             assert cov.box_count >= bd.brute_force_min_boxes(dm, int(lb))
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
@@ -189,8 +191,8 @@ def test_criterion_9_trivial_endpoints(example6, karate):
         fixtures.append(bd.all_pairs(bd.edge_repulsive_force(g), bd.REPULSION))
     for dm in fixtures:
         smallest = int(bd.distinct_distances(dm)[0])
-        at_min = bd.run_trials(dm, smallest, trials=3, master_seed=0)
-        beyond = bd.run_trials(dm, dm.diameter + 1, trials=3, master_seed=0)
+        at_min = trial_stats(dm, smallest, trials=3, master_seed=0)
+        beyond = trial_stats(dm, dm.diameter + 1, trials=3, master_seed=0)
         assert at_min.mean == dm.n and at_min.std == 0.0
         assert beyond.mean == 1.0 and beyond.std == 0.0
     ok(9, "N_B = n at the smallest distance and N_B = 1 beyond the diameter")

@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 import boxdim as bd
 from boxdim import covering
 
-from conftest import dense_greedy_colors, die_on_trial, random_connected_graph, time_limit
+from conftest import (
+    dense_greedy_colors,
+    die_on_trial,
+    is_valid_covering,
+    random_connected_graph,
+    time_limit,
+    trial_stats,
+)
 
 # list lengths that send every earlier-neighbour list through the numpy
 # tally, or every one through the Python scan
@@ -34,7 +41,7 @@ class TestGreedyBoxCover:
     def test_worked_example_identity_order_two_boxes(self, example6_repulsion):
         cov = bd.greedy_box_cover(example6_repulsion, 10, range(6))
         assert cov.box_count == 2
-        assert bd.is_valid_covering(example6_repulsion, cov)
+        assert is_valid_covering(example6_repulsion, cov)
         groups = {}
         for node, color in enumerate(cov.colors):
             groups.setdefault(int(color), set()).add(node)
@@ -48,7 +55,7 @@ class TestGreedyBoxCover:
         counts = {}
         for p in permutations(range(6)):
             cov = bd.greedy_box_cover(example6_repulsion, 10, p)
-            assert bd.is_valid_covering(example6_repulsion, cov)
+            assert is_valid_covering(example6_repulsion, cov)
             counts[cov.box_count] = counts.get(cov.box_count, 0) + 1
         assert counts == {2: 640, 3: 80}
 
@@ -88,7 +95,7 @@ class TestGreedyBoxCover:
             dm = bd.all_pairs(arg, metric)
             for lb in bd.distinct_distances(dm):
                 cov = bd.greedy_box_cover(dm, int(lb), rng.permutation(dm.n))
-                assert bd.is_valid_covering(dm, cov)
+                assert is_valid_covering(dm, cov)
                 assert 1 <= cov.box_count <= dm.n
 
 
@@ -136,7 +143,7 @@ class TestBruteForce:
 
 class TestRunTrials:
     def test_box_size_above_diameter(self, example6_repulsion):
-        stats = bd.run_trials(example6_repulsion, 99, trials=5, master_seed=1)
+        stats = trial_stats(example6_repulsion, 99, trials=5, master_seed=1)
         assert stats.mean == 1.0
         assert stats.std == 0.0
         assert stats.min == stats.max == 1
@@ -144,7 +151,7 @@ class TestRunTrials:
     def test_worked_example_trials_frozen(self, example6_repulsion):
         # greedy hits 3 boxes on some orders (see ledger), so the mean sits
         # slightly above the optimum of 2; value frozen from a reference run
-        stats = bd.run_trials(example6_repulsion, 10, trials=100, master_seed=42)
+        stats = trial_stats(example6_repulsion, 10, trials=100, master_seed=42)
         assert stats.min == 2
         assert stats.max == 3
         assert stats.mean == pytest.approx(2.07)
@@ -152,20 +159,20 @@ class TestRunTrials:
 
     def test_karate_hop_lb3_frozen(self, karate):
         dm = bd.all_pairs(karate, bd.HOP)
-        stats = bd.run_trials(dm, 3, trials=1000, master_seed=42)
+        stats = trial_stats(dm, 3, trials=1000, master_seed=42)
         assert (stats.min, stats.max) == (4, 6)
         assert stats.mean == pytest.approx(4.442)
         assert stats.std == pytest.approx(0.5278598298791073)
 
     def test_single_trial_zero_std(self, example6_hop):
-        stats = bd.run_trials(example6_hop, 2, trials=1, master_seed=7)
+        stats = trial_stats(example6_hop, 2, trials=1, master_seed=7)
         assert stats.std == 0.0
         assert stats.trials == 1
 
     def test_deterministic_across_runs(self, karate):
         dm = bd.all_pairs(karate, bd.HOP)
-        a = bd.run_trials(dm, 2, trials=50, master_seed=9)
-        b = bd.run_trials(dm, 2, trials=50, master_seed=9)
+        a = trial_stats(dm, 2, trials=50, master_seed=9)
+        b = trial_stats(dm, 2, trials=50, master_seed=9)
         assert np.array_equal(a.counts, b.counts)
 
     def test_deterministic_across_workers(self, karate):
@@ -182,7 +189,7 @@ class TestRunTrials:
 
     def test_trials_must_be_positive(self, example6_hop):
         with pytest.raises(ValueError, match="trials"):
-            bd.run_trials(example6_hop, 2, trials=0, master_seed=1)
+            trial_stats(example6_hop, 2, trials=0, master_seed=1)
 
     def test_mean_non_increasing_on_fixtures(self, karate):
         # verified to hold on these fixtures over the default schedule;

@@ -9,9 +9,15 @@ from hypothesis import strategies as st
 
 import boxdim as bd
 from boxdim import metrics
-from boxdim.metrics import _bfs_row, _dijkstra_row
 
-from conftest import csr_rows, floyd_warshall, graph_weighted_edges, random_connected_graph
+from conftest import (
+    bfs_row,
+    csr_rows,
+    dijkstra_row,
+    floyd_warshall,
+    graph_weighted_edges,
+    random_connected_graph,
+)
 
 # (push limit, planes) that run every hop level by pushing pairs, the
 # default mix, every level bit-parallel, and every level bit-parallel with
@@ -22,6 +28,9 @@ KERNEL_SETTINGS = {
     "bit-parallel": (10**18, metrics._PLANES),
     "bit-parallel, 2 planes": (10**18, 2),
 }
+# push limits that run every repulsion round by pushing the cells that fell,
+# the default mix, and every round by pulling
+REPULSION_SETTINGS = {"pushed": 0, "mixed": metrics._PUSH_CELLS, "pulled": 10**18}
 
 
 def path_graph(n: int) -> bd.Graph:
@@ -61,6 +70,43 @@ def hop_all_pairs(g: bd.Graph, setting: str):
     return dm
 
 
+def weighted(g: bd.Graph) -> bd.WeightedGraph:
+    """The repulsion-weighted graph, also for a single node, which has no edge to weight."""
+    if g.edge_count == 0:
+        return bd.WeightedGraph(graph=g, weights=np.zeros(0, dtype=np.int64))
+    return bd.edge_repulsive_force(g)
+
+
+def repulsion_all_pairs(g: bd.Graph, setting: str):
+    """``all_pairs`` under repulsion with the push limit of the setting
+    applied; checks the kernel's round counts for that call."""
+    push_cells = REPULSION_SETTINGS[setting]
+    repulsion_matrix = metrics._repulsion_matrix
+    runs = []
+
+    def recorded(indptr, indices, weights):
+        out = repulsion_matrix(indptr, indices, weights)
+        runs.append(out[1:])
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "_PUSH_CELLS", push_cells)
+        mp.setattr(metrics, "_repulsion_matrix", recorded)
+        dm = bd.all_pairs(weighted(g), bd.REPULSION)
+    ((rounds, pulled),) = runs
+    assert dm.dist.dtype == np.int64 and not dm.dist.flags.writeable
+    if push_cells == 0:
+        assert pulled == 0
+    elif push_cells == 10**18:
+        assert pulled == rounds
+    return dm
+
+
+def dijkstra_rows(g: bd.Graph) -> list[list]:
+    n, rows = g.node_count, csr_rows(g, weighted(g).weights)
+    return [dijkstra_row(rows, s, n) for s in range(n)]
+
+
 class TestEdgeRepulsiveForce:
     def test_worked_example_forces(self, example6):
         wg = bd.edge_repulsive_force(example6)
@@ -93,32 +139,33 @@ class TestEdgeRepulsiveForce:
 
 
 class TestShortestPaths:
+    # rows of all_pairs against the per-source Python oracles
     def test_worked_example_row(self, example6):
         wg = bd.edge_repulsive_force(example6)
-        row = bd.shortest_paths_from(wg, 2)  # node labeled "3"
+        row = bd.all_pairs(wg).dist[2]  # node labeled "3"
         assert row[5] == 12  # 3-4-5-6
         assert row[2] == 0
+        assert row.tolist() == dijkstra_row(csr_rows(example6, wg.weights), 2, 6)
 
     def test_worked_example_dist_1_to_5(self, example6_repulsion):
         assert example6_repulsion.dist[0, 4] == 16  # 1-3-4-5
 
     def test_self_distance_zero(self, karate):
+        dm = bd.all_pairs(karate, bd.HOP)
         for s in (0, 7, 33):
-            assert bd.shortest_paths_from(karate, s)[s] == 0
+            assert dm.dist[s, s] == 0
+            assert dm.dist[s].tolist() == bfs_row(csr_rows(karate), s, karate.node_count)
 
     def test_rows_match_all_pairs(self, karate):
         wg = bd.edge_repulsive_force(karate)
         dm = bd.all_pairs(wg)
+        rows = csr_rows(karate, wg.weights)
         for s in (0, 5, 21):
-            assert np.array_equal(bd.shortest_paths_from(wg, s), dm.dist[s])
-
-    def test_source_out_of_range(self, example6):
-        with pytest.raises(ValueError, match="out of range"):
-            bd.shortest_paths_from(example6, 17)
+            assert dm.dist[s].tolist() == dijkstra_row(rows, s, karate.node_count)
 
     def test_repulsion_needs_weighted_graph(self, example6):
         with pytest.raises(TypeError, match="WeightedGraph"):
-            bd.shortest_paths_from(example6, 0, bd.REPULSION)
+            bd.all_pairs(example6, bd.REPULSION)
 
 
 class TestAllPairs:
@@ -160,18 +207,14 @@ class TestAllPairs:
             assert dm.dist.tolist() == oracle
 
     def test_pure_python_rows_match(self):
-        # the numpy hop kernel must give exactly the rows of the _bfs_row
-        # oracle, and all_pairs the rows _dijkstra_row gives per source, both
-        # fed from the CSR arrays
+        # the numpy kernels must give exactly the rows of the bfs_row and
+        # dijkstra_row oracles, both fed from the CSR arrays
         g = random_connected_graph(25, 30, seed=11)
-        wg = bd.edge_repulsive_force(g)
         hop = bd.all_pairs(g, bd.HOP)
-        rep = bd.all_pairs(wg, bd.REPULSION)
-        nbrs, weighted = csr_rows(g), csr_rows(g, wg.weights)
-        for s in range(g.node_count):
-            assert hop.dist[s].tolist() == _bfs_row(nbrs, s, g.node_count)
-            assert rep.dist[s].tolist() == _dijkstra_row(weighted, s, g.node_count)
-
+        rep = bd.all_pairs(bd.edge_repulsive_force(g), bd.REPULSION)
+        nbrs = csr_rows(g)
+        assert hop.dist.tolist() == [bfs_row(nbrs, s, g.node_count) for s in range(g.node_count)]
+        assert rep.dist.tolist() == dijkstra_rows(g)
 
     def test_one_debug_line_per_call_not_per_level(self, caplog):
         g = path_graph(65)
@@ -186,7 +229,13 @@ class TestAllPairs:
             lines[0],
         )
         assert hop and int(hop[1]) + int(hop[2]) == 64
-        assert re.fullmatch(r"all-pairs repulsion: n = 65, diameter \d+, \d+\.\d{3} s", lines[1])
+        # end edges weigh 1 * 2, the 62 inner ones 2 * 2
+        rep = re.fullmatch(
+            r"all-pairs repulsion: n = 65, diameter 252, (\d+) rounds "
+            r"\((\d+) pulled, (\d+) pushed\), \d+\.\d{3} s",
+            lines[1],
+        )
+        assert rep and int(rep[2]) + int(rep[3]) == int(rep[1]) > 0
 
 
 FIXED_SHAPES = {
@@ -214,7 +263,7 @@ def test_hop_kernel_fixed_shapes(shape, setting):
     g = FIXED_SHAPES[shape]()
     dm = hop_all_pairs(g, setting)
     n, nbrs = g.node_count, csr_rows(g)
-    assert dm.dist.tolist() == [_bfs_row(nbrs, s, n) for s in range(n)]
+    assert dm.dist.tolist() == [bfs_row(nbrs, s, n) for s in range(n)]
 
 
 @st.composite
@@ -229,8 +278,40 @@ def kernel_graphs(draw):
 def test_hop_kernel_matches_oracles(g, setting):
     dm = hop_all_pairs(g, setting)
     n, nbrs = g.node_count, csr_rows(g)
-    assert dm.dist.tolist() == [_bfs_row(nbrs, s, n) for s in range(n)]
+    assert dm.dist.tolist() == [bfs_row(nbrs, s, n) for s in range(n)]
     assert dm.dist.tolist() == floyd_warshall(n, graph_weighted_edges(g, bd.HOP))
+
+
+@pytest.mark.parametrize("setting", list(REPULSION_SETTINGS))
+@pytest.mark.parametrize("shape", list(FIXED_SHAPES))
+def test_repulsion_kernel_fixed_shapes(shape, setting):
+    g = FIXED_SHAPES[shape]()
+    assert repulsion_all_pairs(g, setting).dist.tolist() == dijkstra_rows(g)
+
+
+@st.composite
+def repulsion_graphs(draw):
+    # random graphs, long paths in a random node order, and a hub joined to
+    # every node: the shapes where pulling or pushing alone runs long
+    n = draw(st.integers(2, 140))
+    seed = draw(st.integers(0, 10**6))
+    shape = draw(st.sampled_from(["random", "path", "hub"]))
+    if shape == "path":
+        order = np.random.default_rng(seed).permutation(n).tolist()
+        return bd.Graph.from_edges(n, [tuple(sorted(e)) for e in zip(order, order[1:])])
+    g = random_connected_graph(n, draw(st.integers(0, 2 * n)), seed=seed)
+    if shape == "hub":
+        edges = set(map(tuple, g.edges.tolist())) | {(0, v) for v in range(1, n)}
+        g = bd.Graph.from_edges(n, sorted(edges))
+    return g
+
+
+@given(repulsion_graphs(), st.sampled_from(list(REPULSION_SETTINGS)))
+@settings(max_examples=40, deadline=None)
+def test_repulsion_kernel_matches_oracles(g, setting):
+    dm = repulsion_all_pairs(g, setting)
+    assert dm.dist.tolist() == dijkstra_rows(g)
+    assert dm.dist.tolist() == floyd_warshall(g.node_count, graph_weighted_edges(g, bd.REPULSION))
 
 
 class TestDistinctDistances:
