@@ -197,6 +197,10 @@ def _run_analysis(args, methods: list[str]) -> int:
         raise InputError("--trials must be >= 1")
     if args.seed < 0:
         raise InputError("--seed must be non-negative")
+    if args.threads is not None and args.threads < 1:
+        raise InputError("--threads must be >= 1")
+    if args.max_points < 3:
+        raise InputError("--max-points must be >= 3")
     dataset, graph = _load_input(args)
     # once for every method, so a disconnected input is reported once
     comp = largest_component(graph)

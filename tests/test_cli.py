@@ -168,6 +168,22 @@ class TestDim:
         assert code == 2
         assert "--trials" in stderr
 
+    @pytest.mark.parametrize(
+        "option, value", [("--threads", "0"), ("--threads", "-3"), ("--max-points", "2")]
+    )
+    def test_bad_option_exit_2_before_loading(
+        self, karate_file, capsys, monkeypatch, option, value
+    ):
+        loads = []
+        monkeypatch.setattr(cli, "_load_input", loads.append)
+        code, _, stderr = run_cli(
+            ["compare", "--input", str(karate_file), "--trials", "5", option, value], capsys
+        )
+        assert code == 2
+        assert option in stderr
+        # refused before the input is read
+        assert loads == []
+
     def test_generated_input(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code, stdout, _ = run_cli(

@@ -19,17 +19,8 @@ from conftest import (
     random_connected_graph,
 )
 
-# (push limit, planes) that run every hop level by pushing pairs, the
-# default mix, every level bit-parallel, and every level bit-parallel with
-# the bit-sliced levels added into the matrix every three levels
-KERNEL_SETTINGS = {
-    "pushed": (0, metrics._PLANES),
-    "mixed": (metrics._PUSH_CELLS, metrics._PLANES),
-    "bit-parallel": (10**18, metrics._PLANES),
-    "bit-parallel, 2 planes": (10**18, 2),
-}
-# push limits that run every repulsion round by pushing the cells that fell,
-# the default mix, and every round by pulling
+# push limits that run every round by pushing the cells that fell, the
+# default mix, and every round by pulling
 REPULSION_SETTINGS = {"pushed": 0, "mixed": metrics._PUSH_CELLS, "pulled": 10**18}
 
 
@@ -43,31 +34,8 @@ def grid_graph(k: int) -> bd.Graph:
     return bd.Graph.from_edges(k * k, right + down)
 
 
-def hop_all_pairs(g: bd.Graph, setting: str):
-    """``all_pairs`` under hop with the kernel setting applied; checks the
-    kernel's level counts for that call."""
-    push_cells, planes = KERNEL_SETTINGS[setting]
-    hop_matrix = metrics._hop_matrix
-    runs = []
-
-    def recorded(indptr, indices):
-        out = hop_matrix(indptr, indices)
-        runs.append(out[1:])
-        return out
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(metrics, "_PUSH_CELLS", push_cells)
-        mp.setattr(metrics, "_PLANES", planes)
-        mp.setattr(metrics, "_hop_matrix", recorded)
-        dm = bd.all_pairs(g, bd.HOP)
-    ((levels, dense),) = runs
-    assert dm.dist.dtype == np.int64 and not dm.dist.flags.writeable
-    assert levels == dm.diameter
-    if push_cells == 0:
-        assert dense == 0
-    elif push_cells == 10**18:
-        assert dense == levels
-    return dm
+def star_graph(leaves: int) -> bd.Graph:
+    return bd.Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
 def weighted(g: bd.Graph) -> bd.WeightedGraph:
@@ -77,9 +45,16 @@ def weighted(g: bd.Graph) -> bd.WeightedGraph:
     return bd.edge_repulsive_force(g)
 
 
-def repulsion_all_pairs(g: bd.Graph, setting: str):
-    """``all_pairs`` under repulsion with the push limit of the setting
-    applied; checks the kernel's round counts for that call."""
+def matrix_dtype(n: int, wmax: int) -> np.dtype:
+    """The type the matrix must come in: the first of int16, int32 and int64
+    that holds n * wmax + 1, the largest sum the kernel can form."""
+    top = n * wmax + 1
+    return np.dtype(np.int16 if top < 2**15 else np.int32 if top < 2**31 else np.int64)
+
+
+def kernel_all_pairs(arg: bd.Graph | bd.WeightedGraph, metric: str, setting: str):
+    """``all_pairs`` with the push limit of the setting applied; checks the
+    kernel's round counts and the matrix type for that call."""
     push_cells = REPULSION_SETTINGS[setting]
     repulsion_matrix = metrics._repulsion_matrix
     runs = []
@@ -92,9 +67,10 @@ def repulsion_all_pairs(g: bd.Graph, setting: str):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(metrics, "_PUSH_CELLS", push_cells)
         mp.setattr(metrics, "_repulsion_matrix", recorded)
-        dm = bd.all_pairs(weighted(g), bd.REPULSION)
+        dm = bd.all_pairs(arg, metric)
     ((rounds, pulled),) = runs
-    assert dm.dist.dtype == np.int64 and not dm.dist.flags.writeable
+    wmax = int(arg.weights.max(initial=0)) if metric == bd.REPULSION else 1
+    assert dm.dist.dtype == matrix_dtype(dm.n, wmax) and not dm.dist.flags.writeable
     if push_cells == 0:
         assert pulled == 0
     elif push_cells == 10**18:
@@ -193,6 +169,12 @@ class TestAllPairs:
                 mp.setattr(metrics, "MAX_CELLS", 100)
                 bd.all_pairs(karate, bd.HOP)
 
+    def test_sums_past_int64_rejected(self):
+        g = path_graph(3)
+        wg = bd.WeightedGraph(graph=g, weights=np.full(g.indices.size, 2**62))
+        with pytest.raises(ValueError, match="overflow int64"):
+            bd.all_pairs(wg)
+
     def test_matrix_is_read_only(self, example6_hop):
         with pytest.raises(ValueError):
             example6_hop.dist[0, 1] = 99
@@ -207,7 +189,7 @@ class TestAllPairs:
             assert dm.dist.tolist() == oracle
 
     def test_pure_python_rows_match(self):
-        # the numpy kernels must give exactly the rows of the bfs_row and
+        # the numpy kernel must give exactly the rows of the bfs_row and
         # dijkstra_row oracles, both fed from the CSR arrays
         g = random_connected_graph(25, 30, seed=11)
         hop = bd.all_pairs(g, bd.HOP)
@@ -224,11 +206,11 @@ class TestAllPairs:
         lines = [r.getMessage() for r in caplog.records if r.name == "boxdim.metrics"]
         assert len(lines) == 2
         hop = re.fullmatch(
-            r"all-pairs hop: n = 65, diameter 64, 64 levels "
-            r"\((\d+) bit-parallel, (\d+) pushed\), \d+\.\d{3} s",
+            r"all-pairs hop: n = 65, diameter 64, (\d+) rounds "
+            r"\((\d+) pulled, (\d+) pushed\), \d+\.\d{3} s",
             lines[0],
         )
-        assert hop and int(hop[1]) + int(hop[2]) == 64
+        assert hop and int(hop[2]) + int(hop[3]) == int(hop[1]) > 0
         # end edges weigh 1 * 2, the 62 inner ones 2 * 2
         rep = re.fullmatch(
             r"all-pairs repulsion: n = 65, diameter 252, (\d+) rounds "
@@ -245,7 +227,7 @@ FIXED_SHAPES = {
     "path 64": lambda: path_graph(64),
     "path 65": lambda: path_graph(65),
     "path 129": lambda: path_graph(129),
-    "star 100": lambda: bd.Graph.from_edges(100, [(0, i) for i in range(1, 100)]),
+    "star 100": lambda: star_graph(99),
     "K10": lambda: bd.Graph.from_edges(10, combinations(range(10), 2)),
     "grid 20x20": lambda: grid_graph(20),
     **{
@@ -255,42 +237,31 @@ FIXED_SHAPES = {
 }
 
 
-@pytest.mark.parametrize("setting", list(KERNEL_SETTINGS))
+# The hop shapes keep the ids they had when hops ran a bit-parallel BFS, whose
+# every-level-dense setting is now every round pulled.
+HOP_SETTING_IDS = {"pushed": "pushed", "mixed": "mixed", "pulled": "bit-parallel"}
+
+
+@pytest.mark.parametrize("setting", list(REPULSION_SETTINGS), ids=HOP_SETTING_IDS.get)
 @pytest.mark.parametrize("shape", list(FIXED_SHAPES))
 def test_hop_kernel_fixed_shapes(shape, setting):
-    # word boundaries (63/64/65/129 nodes), one hub, a clique, a long grid
-    # and the benchmark family, under every kernel setting
+    # 63 to 129 nodes, one hub, a clique, a long grid and the benchmark
+    # family, under every kernel setting
     g = FIXED_SHAPES[shape]()
-    dm = hop_all_pairs(g, setting)
+    dm = kernel_all_pairs(g, bd.HOP, setting)
     n, nbrs = g.node_count, csr_rows(g)
     assert dm.dist.tolist() == [bfs_row(nbrs, s, n) for s in range(n)]
-
-
-@st.composite
-def kernel_graphs(draw):
-    # up to 140 nodes, so bit rows span one to three 64-bit words
-    n = draw(st.integers(2, 140))
-    return random_connected_graph(n, draw(st.integers(0, 2 * n)), seed=draw(st.integers(0, 10**6)))
-
-
-@given(kernel_graphs(), st.sampled_from(list(KERNEL_SETTINGS)))
-@settings(max_examples=40, deadline=None)
-def test_hop_kernel_matches_oracles(g, setting):
-    dm = hop_all_pairs(g, setting)
-    n, nbrs = g.node_count, csr_rows(g)
-    assert dm.dist.tolist() == [bfs_row(nbrs, s, n) for s in range(n)]
-    assert dm.dist.tolist() == floyd_warshall(n, graph_weighted_edges(g, bd.HOP))
 
 
 @pytest.mark.parametrize("setting", list(REPULSION_SETTINGS))
 @pytest.mark.parametrize("shape", list(FIXED_SHAPES))
 def test_repulsion_kernel_fixed_shapes(shape, setting):
     g = FIXED_SHAPES[shape]()
-    assert repulsion_all_pairs(g, setting).dist.tolist() == dijkstra_rows(g)
+    assert kernel_all_pairs(weighted(g), bd.REPULSION, setting).dist.tolist() == dijkstra_rows(g)
 
 
 @st.composite
-def repulsion_graphs(draw):
+def kernel_graphs(draw):
     # random graphs, long paths in a random node order, and a hub joined to
     # every node: the shapes where pulling or pushing alone runs long
     n = draw(st.integers(2, 140))
@@ -306,12 +277,56 @@ def repulsion_graphs(draw):
     return g
 
 
-@given(repulsion_graphs(), st.sampled_from(list(REPULSION_SETTINGS)))
+@given(kernel_graphs(), st.sampled_from(list(REPULSION_SETTINGS)))
+@settings(max_examples=40, deadline=None)
+def test_hop_kernel_matches_oracles(g, setting):
+    dm = kernel_all_pairs(g, bd.HOP, setting)
+    n, nbrs = g.node_count, csr_rows(g)
+    assert dm.dist.tolist() == [bfs_row(nbrs, s, n) for s in range(n)]
+    assert dm.dist.tolist() == floyd_warshall(n, graph_weighted_edges(g, bd.HOP))
+
+
+@given(kernel_graphs(), st.sampled_from(list(REPULSION_SETTINGS)))
 @settings(max_examples=40, deadline=None)
 def test_repulsion_kernel_matches_oracles(g, setting):
-    dm = repulsion_all_pairs(g, setting)
+    dm = kernel_all_pairs(weighted(g), bd.REPULSION, setting)
     assert dm.dist.tolist() == dijkstra_rows(g)
     assert dm.dist.tolist() == floyd_warshall(g.node_count, graph_weighted_edges(g, bd.REPULSION))
+
+
+def huge_forces() -> bd.WeightedGraph:
+    """A 4-node path built directly with edge forces near 2**31."""
+    g = path_graph(4)
+    force = {(0, 1): 2**31 - 1, (1, 2): 2**31 - 7, (2, 3): 3}
+    ends = zip(g.arc_rows.tolist(), g.indices.tolist())
+    return bd.WeightedGraph(graph=g, weights=np.array([force[min(e), max(e)] for e in ends]))
+
+
+@pytest.mark.parametrize(
+    "make, dtype",
+    [
+        # n * wmax + 1 = 181 * 180 + 1 = 32581, the largest star under 2**15
+        (lambda: weighted(star_graph(180)), np.int16),
+        # 182 * 181 + 1 = 32943
+        (lambda: weighted(star_graph(181)), np.int32),
+        (huge_forces, np.int64),
+    ],
+    ids=["star 180", "star 181", "forces near 2**31"],
+)
+def test_matrix_type_boundaries(make, dtype):
+    wg = make()
+    g, n = wg.graph, wg.graph.node_count
+    rows = csr_rows(g, wg.weights)
+    expected = [dijkstra_row(rows, s, n) for s in range(n)]
+    assert expected == floyd_warshall(n, zip(*g.edges.T.tolist(), wg.forces.tolist()))
+    for setting in REPULSION_SETTINGS:
+        dm = kernel_all_pairs(wg, bd.REPULSION, setting)
+        assert dm.dist.dtype == dtype
+        assert dm.dist.tolist() == expected
+
+
+def test_hop_path_129_is_int16():
+    assert bd.all_pairs(path_graph(129), bd.HOP).dist.dtype == np.int16
 
 
 class TestDistinctDistances:
