@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -201,6 +202,12 @@ def _run_analysis(args, methods: list[str]) -> int:
         raise InputError("--threads must be >= 1")
     if args.max_points < 3:
         raise InputError("--max-points must be >= 3")
+    if args.fit_range is not None:
+        lo, hi = args.fit_range
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise InputError("--fit-range bounds must be finite")
+        if lo > hi:
+            raise InputError(f"--fit-range LO ({lo:g}) must not exceed HI ({hi:g})")
     dataset, graph = _load_input(args)
     # once for every method, so a disconnected input is reported once
     comp = largest_component(graph)

@@ -8,17 +8,25 @@ nodes in a given order, each taking the smallest color not used by an earlier
 node at distance >= box_size.
 
 The dual does not depend on the order, so each covering call materialises it
-once, shared by every trial and worker: per box size, a CSR list for each
-node of whichever side of the threshold holds fewer pairs. On the far side
-(distance >= box_size) a node rules out the colors of its earlier far
-neighbours. On the near side (distance < box_size) a color is open to a node
-only when every member is one of its earlier near neighbours. Both sides give
-the same colors. Box sizes at or below the smallest distance give one box per
-node, and sizes above the diameter a single box, without a pass.
+once, shared by every trial and worker. Box sizes at or below the smallest
+distance give one box per node, and sizes above the diameter a single box,
+without a pass. Every other size takes one of two steps, chosen by the node
+count:
+
+* Graphs of at most 64 nodes (``_WORD_NODES``) hold each node's far set
+  (distance >= box_size) as one 64-bit word, and each trial's boxes as one
+  word of members each. All trials are colored at once, one node position at
+  a time: a node takes, in every trial, the first box whose members miss its
+  far set. These sizes run in the calling process and never fork workers.
+* Larger graphs walk each trial on its own, over a CSR list for each node of
+  whichever side of the threshold holds fewer pairs. On the far side a node
+  rules out the colors of its earlier far neighbours. On the near side
+  (distance < box_size) a color is open to a node only when every member is
+  one of its earlier near neighbours. Both sides give the same colors.
 
 Greedy coloring is order-dependent, so trials reshuffle the node order with
 independently seeded generators; results are identical for a fixed master
-seed no matter how many workers run the trials.
+seed no matter which step or how many workers run the trials.
 """
 from __future__ import annotations
 
@@ -40,6 +48,14 @@ _CHUNK_CELLS = 1 << 22
 # earlier-neighbour lists longer than this are tallied with numpy; shorter
 # ones are scanned in Python, where a numpy call costs more than the scan
 _SHORT_LIST = 48
+# graphs of at most this many nodes color their trials in lockstep, each box
+# one machine word; boxes of several words lost to the list walk from about
+# 128 nodes, and were 2-6 times slower at 256-512
+_WORD_NODES = 64
+# trials colored in lockstep at once, so memory does not grow with the count
+_TRIAL_BLOCK = 1 << 10
+# _BITS[v] is node v's bit in a one-word node set
+_BITS = np.left_shift(np.uint64(1), np.arange(_WORD_NODES, dtype=np.uint64))
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,18 +138,23 @@ class _SideLists:
         return ends.tolist(), np.compress(keep, self.cols)
 
 
-def _side_lists(dm: DistanceMatrix, sizes: Sequence[int]) -> list[int | _SideLists]:
-    """For each box size, its box count when no pass is needed, else its lists.
+def _plan(
+    dm: DistanceMatrix, sizes: Sequence[int], trials: int = 0
+) -> list[int | np.ndarray | _SideLists]:
+    """For each box size, its box count when no pass is needed, else what the pass reads.
 
-    The lists are cut from ``dm.dist`` a block of rows at a time, so nothing
-    of n x n size is allocated.
+    That is each node's far set as a word (see ``_far_words``) when the
+    ``trials`` of a covering call run in lockstep, on graphs of at most
+    ``_WORD_NODES`` nodes; else the side lists, cut from ``dm.dist`` a block
+    of rows at a time, so nothing of n x n size is allocated.
     """
     dist = dm.dist
     n = dm.n
     step = max(1, _CHUNK_CELLS // max(n, 1))
     blocks = [(a, min(a + step, n)) for a in range(0, n, step)]
     ids = np.arange(n, dtype=np.int32)
-    plan: list[int | _SideLists] = []
+    lockstep = trials > 0 and n <= _WORD_NODES
+    plan: list[int | np.ndarray | _SideLists] = []
     for b in sizes:
         if b > dm.diameter:
             logger.debug("box size %d: short-circuited, N_B = 1 (above the diameter)", b)
@@ -147,6 +168,10 @@ def _side_lists(dm: DistanceMatrix, sizes: Sequence[int]) -> list[int | _SideLis
                 b, n,
             )
             plan.append(n)
+            continue
+        if lockstep:
+            logger.debug("box size %d: bitset, %d trials in lockstep", b, trials)
+            plan.append(_far_words(dist, b))
             continue
         near = 2 * near_pairs <= n * (n - 1)
         degree = np.empty(n, dtype=np.int64)
@@ -165,6 +190,36 @@ def _side_lists(dm: DistanceMatrix, sizes: Sequence[int]) -> list[int | _SideLis
         )
         plan.append(lists)
     return plan
+
+
+def _far_words(dist: np.ndarray, box_size: int) -> np.ndarray:
+    """Each node's far set as a uint64 word: bit v of word u is set when
+    d(u, v) >= box_size, which excludes u itself (n <= 64)."""
+    return ((dist >= box_size) * _BITS[: dist.shape[0]]).sum(axis=1, dtype=np.uint64)
+
+
+def _lockstep_counts(far: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """Box counts of greedy passes over every row of ``orders`` at once.
+
+    ``far`` is a size's ``_far_words``. ``members[t, c]`` holds the nodes trial
+    t has put in box c, one bit each; at each position every trial's node
+    takes the first box whose members miss its far set. An empty box never
+    clashes, so no box count is kept: the pass ends with one per non-empty word.
+    """
+    trials, n = orders.shape
+    members = np.zeros((trials, n), dtype=np.uint64)
+    rows = np.arange(trials)
+    # boxes from width - 1 on are empty in every trial, so each trial's
+    # choice lies among the first width
+    width = 1
+    for i in range(n):
+        u = orders[:, i]
+        clash = (members[:, :width] & far[u][:, None]) != 0
+        c = clash.argmin(axis=1)
+        members[rows, c] |= _BITS[u]
+        if c.max() == width - 1:
+            width += 1
+    return np.count_nonzero(members, axis=1)
 
 
 def _greedy_colors(lists: _SideLists, pos: np.ndarray, order: list[int]) -> tuple[list[int], int]:
@@ -246,7 +301,7 @@ def greedy_box_cover(dm: DistanceMatrix, box_size, order: Sequence[int]) -> BoxC
     if order.shape != (n,) or not np.array_equal(np.sort(order), np.arange(n)):
         raise ValueError("order must be a permutation of 0..n-1")
     pos = _positions(order)
-    [entry] = _side_lists(dm, [box_size])
+    [entry] = _plan(dm, [box_size])
     if isinstance(entry, _SideLists):
         colors, ncolors = _greedy_colors(entry, pos, order.tolist())
     elif entry == n:  # every pair conflicts: each node opens the next box
@@ -258,8 +313,13 @@ def greedy_box_cover(dm: DistanceMatrix, box_size, order: Sequence[int]) -> BoxC
     return BoxCovering(box_size=box_size, colors=colors, box_count=ncolors)
 
 
+def _order(n: int, master_seed: int, trial: int) -> np.ndarray:
+    """Trial ``trial``'s node order, seeded by (master_seed, trial) alone."""
+    return np.random.default_rng((master_seed, trial)).permutation(n)
+
+
 def _trial_counts(plan: list, n: int, master_seed: int, trial: int) -> list[int]:
-    order = np.random.default_rng((master_seed, trial)).permutation(n)
+    order = _order(n, master_seed, trial)
     pos = _positions(order)
     nodes = order.tolist()
     return [
@@ -293,17 +353,37 @@ def covering_counts(
 
     Trial ``t`` draws its node order from a generator seeded purely by
     (master_seed, t), and the result matrix is assembled by trial index, so
-    the output is identical for any worker count. Workers are forked, so
-    they share the lists built here; a worker that dies raises
-    ``concurrent.futures.process.BrokenProcessPool``.
+    the output is identical for any worker count. On graphs of at most 64
+    nodes every trial is colored in lockstep, a block of trials at a time,
+    in this process: ``workers`` starts no process there, nor when every size
+    is short-circuited. Otherwise each trial walks the side lists, on
+    ``workers`` forked processes that share the lists built here; a worker
+    that dies raises ``concurrent.futures.process.BrokenProcessPool``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     sizes = [int(b) for b in box_sizes]
     if any(b <= 0 for b in sizes):
         raise ValueError("box sizes must be positive")
-    plan = _side_lists(dm, sizes)
+    plan = _plan(dm, sizes, trials)
     counts = np.empty((len(sizes), trials), dtype=np.int64)
+    if not any(isinstance(entry, _SideLists) for entry in plan):
+        # every size is short-circuited or a bitset, so no worker is needed
+        bitsets = []
+        for row, entry in zip(counts, plan):
+            if isinstance(entry, np.ndarray):
+                bitsets.append((row, entry))
+            else:
+                row[:] = entry
+        if bitsets:
+            for first in range(0, trials, _TRIAL_BLOCK):
+                stop = min(first + _TRIAL_BLOCK, trials)
+                orders = np.empty((stop - first, dm.n), dtype=np.uint8)
+                for t in range(first, stop):
+                    orders[t - first] = _order(dm.n, master_seed, t)
+                for row, far in bitsets:
+                    row[first:stop] = _lockstep_counts(far, orders)
+        return counts
 
     workers = max(1, min(int(workers), trials))
     if workers > 1 and hasattr(os, "fork"):

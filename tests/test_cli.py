@@ -139,7 +139,8 @@ class TestDim:
         with time_limit(60):
             code, _, stderr = run_cli(
                 [
-                    "dim", "--input", str(karate_file), "--method", "hop", "--trials", "8",
+                    # 256 nodes, so the trials run on forked workers
+                    "dim", "--gen", "sierpinski:3", "--method", "hop", "--trials", "8",
                     "--csv", str(tmp_path / "s.csv"), "--json", str(tmp_path / "s.json"),
                     "--threads", "2",
                 ],
@@ -169,7 +170,15 @@ class TestDim:
         assert "--trials" in stderr
 
     @pytest.mark.parametrize(
-        "option, value", [("--threads", "0"), ("--threads", "-3"), ("--max-points", "2")]
+        "option, value",
+        [
+            ("--threads", "0"),
+            ("--threads", "-3"),
+            ("--max-points", "2"),
+            ("--fit-range", "5 2"),
+            ("--fit-range", "nan 3"),
+            ("--fit-range", "1 inf"),
+        ],
     )
     def test_bad_option_exit_2_before_loading(
         self, karate_file, capsys, monkeypatch, option, value
@@ -177,7 +186,8 @@ class TestDim:
         loads = []
         monkeypatch.setattr(cli, "_load_input", loads.append)
         code, _, stderr = run_cli(
-            ["compare", "--input", str(karate_file), "--trials", "5", option, value], capsys
+            ["compare", "--input", str(karate_file), "--trials", "5", option, *value.split()],
+            capsys,
         )
         assert code == 2
         assert option in stderr

@@ -1,10 +1,11 @@
+import concurrent.futures
 import logging
 from concurrent.futures.process import BrokenProcessPool
 from itertools import combinations, permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import boxdim as bd
@@ -22,6 +23,16 @@ from conftest import (
 # list lengths that send every earlier-neighbour list through the numpy
 # tally, or every one through the Python scan
 SHORT_LIST_LIMITS = (0, 10**9)
+# node counts up to which covering_counts colors in lockstep: never (every
+# size walks the lists), or on every graph that fits one word
+WORD_NODE_LIMITS = (0, 64)
+
+
+def all_box_sizes(dm):
+    """Box size 1, every distance and one above it, and one past the diameter,
+    so every size is short-circuited (N_B = n or 1) or needs a pass."""
+    distances = bd.distinct_distances(dm).tolist()
+    return sorted({1, dm.diameter + 5, *distances, *(d + 1 for d in distances)})
 
 
 def all_partitions(items):
@@ -175,17 +186,33 @@ class TestRunTrials:
         b = trial_stats(dm, 2, trials=50, master_seed=9)
         assert np.array_equal(a.counts, b.counts)
 
-    def test_deterministic_across_workers(self, karate):
-        dm = bd.all_pairs(karate, bd.HOP)
+    def test_deterministic_across_workers(self):
+        # above 64 nodes, so the trials run on forked workers
+        dm = bd.all_pairs(random_connected_graph(100, 40, seed=2), bd.HOP)
         serial = bd.covering_counts(dm, [2, 3, 4], trials=40, master_seed=3, workers=1)
         parallel = bd.covering_counts(dm, [2, 3, 4], trials=40, master_seed=3, workers=4)
         assert np.array_equal(serial, parallel)
 
-    def test_dead_worker_raises_instead_of_hanging(self, karate, monkeypatch):
-        dm = bd.all_pairs(karate, bd.HOP)
+    def test_dead_worker_raises_instead_of_hanging(self, monkeypatch):
+        dm = bd.all_pairs(random_connected_graph(100, 40, seed=2), bd.HOP)
         die_on_trial(monkeypatch, 3)
         with time_limit(60), pytest.raises(BrokenProcessPool):
             bd.covering_counts(dm, [2, 3], trials=8, master_seed=1, workers=2)
+
+    def test_small_graph_starts_no_pool(self, karate, monkeypatch):
+        # at most 64 nodes: the trials run in lockstep in the calling process
+        dm = bd.all_pairs(karate, bd.HOP)
+        sizes = [1, 2, 3, 4, 6]
+        with monkeypatch.context() as mp:
+            mp.setattr(covering, "_WORD_NODES", 0)
+            walked = bd.covering_counts(dm, sizes, trials=40, master_seed=3, workers=1)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        counts = bd.covering_counts(dm, sizes, trials=40, master_seed=3, workers=4)
+        assert np.array_equal(counts, walked)
 
     def test_trials_must_be_positive(self, example6_hop):
         with pytest.raises(ValueError, match="trials"):
@@ -235,7 +262,7 @@ class TestGreedyCorePaths:
     def test_karate_hop_takes_every_branch(self, karate):
         # short-circuit at n, near lists, far lists and short-circuit at 1
         dm = bd.all_pairs(karate, bd.HOP)
-        plan = covering._side_lists(dm, [1, 2, 4, 6])
+        plan = covering._plan(dm, [1, 2, 4, 6])
         assert plan[0] == dm.n and plan[3] == 1
         assert plan[1].near and not plan[2].near
         counts = bd.covering_counts(dm, [1, 2, 4, 6], trials=20, master_seed=8)
@@ -246,14 +273,18 @@ class TestGreedyCorePaths:
             assert counts[:, t].tolist() == expected
 
     def test_one_debug_line_per_size_not_per_trial(self, karate, caplog):
-        dm = bd.all_pairs(karate, bd.HOP)
+        # karate's 34 nodes take the bitset step; Sierpinski 3's 256 the lists
+        kar = bd.all_pairs(karate, bd.HOP)
+        sier = bd.all_pairs(bd.generate_sierpinski(3).graph, bd.HOP)
         with caplog.at_level(logging.DEBUG, logger="boxdim.covering"):
-            bd.covering_counts(dm, [1, 2, 4, 6], trials=5, master_seed=0)
+            bd.covering_counts(kar, [1, 2, 4, 6], trials=5, master_seed=0)
+            bd.covering_counts(sier, [2, 7], trials=5, master_seed=0)
         lines = [r.getMessage() for r in caplog.records if r.name == "boxdim.covering"]
-        assert len(lines) == 4
+        assert len(lines) == 6
         assert "N_B = n = 34" in lines[0] and "short-circuited" in lines[0]
-        assert "near side" in lines[1] and "far side" in lines[2]
+        assert all("bitset, 5 trials" in line for line in lines[1:3])
         assert "N_B = 1" in lines[3] and "short-circuited" in lines[3]
+        assert "near side" in lines[4] and "far side" in lines[5]
 
 
 @st.composite
@@ -272,8 +303,7 @@ def test_kernel_matches_dense_rule(case, short_list):
     # box sizes: 1, every distance and one above it, and past the diameter,
     # so every size is short-circuited (N_B = n or 1) or walks near or far lists
     dm, order, seed = case
-    distances = bd.distinct_distances(dm).tolist()
-    sizes = sorted({1, dm.diameter + 5, *distances, *(d + 1 for d in distances)})
+    sizes = all_box_sizes(dm)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(covering, "_SHORT_LIST", short_list)
         dp = dm.dist[np.ix_(order, order)]
@@ -287,3 +317,39 @@ def test_kernel_matches_dense_rule(case, short_list):
         order_t = np.random.default_rng((seed, t)).permutation(dm.n)
         dp = dm.dist[np.ix_(order_t, order_t)]
         assert counts[:, t].tolist() == [dense_greedy_colors(dp, lb)[1] for lb in sizes]
+
+
+@given(
+    n=st.one_of(st.integers(2, 70), st.sampled_from([63, 64, 65])),
+    extra=st.integers(0, 140),
+    graph_seed=st.integers(0, 10**6),
+    metric=st.sampled_from([bd.HOP, bd.REPULSION]),
+    master_seed=st.integers(0, 1000),
+    short_list=st.sampled_from(SHORT_LIST_LIMITS),
+)
+@example(n=63, extra=30, graph_seed=1, metric=bd.HOP, master_seed=5, short_list=0)
+@example(n=64, extra=100, graph_seed=2, metric=bd.REPULSION, master_seed=6, short_list=10**9)
+@example(n=65, extra=10, graph_seed=3, metric=bd.HOP, master_seed=7, short_list=0)
+@settings(max_examples=30, deadline=None)
+def test_each_step_matches_dense_rule(n, extra, graph_seed, metric, master_seed, short_list):
+    # covering_counts forced through the list walk (with every list through
+    # one scan) and through the bitset lockstep (which only graphs of at most
+    # 64 nodes can take), the latter in trial blocks of 2, so the last is short
+    g = random_connected_graph(n, extra, seed=graph_seed)
+    dm = bd.all_pairs(bd.edge_repulsive_force(g) if metric == bd.REPULSION else g, metric)
+    sizes = all_box_sizes(dm)
+    trials = 3
+    by_step = []
+    for limit in WORD_NODE_LIMITS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(covering, "_WORD_NODES", limit)
+            mp.setattr(covering, "_TRIAL_BLOCK", 2)
+            mp.setattr(covering, "_SHORT_LIST", short_list)
+            kinds = {type(entry) for entry in covering._plan(dm, sizes, trials)} - {int}
+            assert kinds <= ({np.ndarray} if n <= limit else {covering._SideLists})
+            by_step.append(bd.covering_counts(dm, sizes, trials, master_seed))
+    assert np.array_equal(by_step[0], by_step[1])
+    for t in range(trials):
+        order_t = np.random.default_rng((master_seed, t)).permutation(dm.n)
+        dp = dm.dist[np.ix_(order_t, order_t)]
+        assert by_step[0][:, t].tolist() == [dense_greedy_colors(dp, lb)[1] for lb in sizes]
