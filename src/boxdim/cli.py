@@ -1,7 +1,8 @@
 """Command-line front end: generate networks, estimate dimensions, compare methods.
 
-Exit codes: 0 success, 2 usage/input error, 3 analysis error (including a
-trial worker process that died).
+Exit codes: 0 success, 2 usage/input error (including an unreadable input or
+an unwritable output file), 3 analysis error (including a trial worker
+process that died).
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import os
 import sys
 import time
 from concurrent.futures import BrokenExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +129,8 @@ def _load_input(args) -> tuple[str, Graph]:
             graph = read_edge_list(path)
         except EdgeListError as exc:
             raise InputError(f"{path}: {exc}") from exc
+        except OSError as exc:
+            raise InputError(f"cannot read {path}: {exc}") from exc
         return path.stem, graph
 
     spec = args.gen
@@ -188,6 +192,15 @@ def read_series_csv(path) -> tuple[list[int], list[float]]:
     return sizes, means
 
 
+@contextmanager
+def _writing(path):
+    """Report a failure to write ``path`` as an input error (exit 2)."""
+    try:
+        yield
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def _dump_matrix_csv(dm: DistanceMatrix, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         np.savetxt(fh, dm.dist, fmt="%d", delimiter=",")
@@ -229,13 +242,15 @@ def _run_analysis(args, methods: list[str]) -> int:
             min_box_size=args.min_lb,
         )
         if args.dump_matrix and method == methods[0]:
-            _dump_matrix_csv(dm, args.dump_matrix)
+            with _writing(args.dump_matrix):
+                _dump_matrix_csv(dm, args.dump_matrix)
             logger.info("wrote %s", args.dump_matrix)
         # one matrix alive at a time: release it before the next method builds its own
         del dm
         results[method] = (series, estimate)
         csv_path = args.csv if (args.csv and len(methods) == 1) else f"{dataset}.{method}.csv"
-        write_series_csv(series, csv_path)
+        with _writing(csv_path):
+            write_series_csv(series, csv_path)
         logger.info("wrote %s", csv_path)
 
     wall = time.perf_counter() - started
@@ -250,7 +265,8 @@ def _run_analysis(args, methods: list[str]) -> int:
         "config": _config_dict(args, dataset, threads),
     }
     json_path = args.json or f"{dataset}.{'-'.join(methods)}.json"
-    Path(json_path).write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+    with _writing(json_path):
+        Path(json_path).write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
     logger.info("wrote %s", json_path)
 
     if len(methods) == 1:
@@ -273,10 +289,8 @@ def _cmd_gen(args) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     out = args.output or f"sierpinski_level{args.level}.txt"
-    try:
+    with _writing(out):
         save_edge_list(module.graph, out)
-    except OSError as exc:
-        raise InputError(f"cannot write {out}: {exc}") from exc
     g = module.graph
     print(f"wrote {out}: {g.node_count} nodes, {g.edge_count} edges")
     return EXIT_OK

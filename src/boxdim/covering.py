@@ -19,10 +19,12 @@ count:
   a time: a node takes, in every trial, the first box whose members miss its
   far set. These sizes run in the calling process and never fork workers.
 * Larger graphs walk each trial on its own, over a CSR list for each node of
-  whichever side of the threshold holds fewer pairs. On the far side a node
-  rules out the colors of its earlier far neighbours. On the near side
-  (distance < box_size) a color is open to a node only when every member is
-  one of its earlier near neighbours. Both sides give the same colors.
+  whichever side of the threshold holds fewer pairs, read as built: a node
+  not yet colored holds color 0, so the colored entries of a list are the
+  node's earlier neighbours. On the far side a node rules out the colors of
+  its earlier far neighbours. On the near side (distance < box_size) a color
+  is open to a node only when every member is one of its earlier near
+  neighbours. Both sides give the same colors.
 
 Greedy coloring is order-dependent, so trials reshuffle the node order with
 independently seeded generators; results are identical for a fixed master
@@ -45,8 +47,9 @@ BRUTE_FORCE_MAX_NODES = 12
 
 # distance cells compared at once while the lists are built (a 4 MB mask)
 _CHUNK_CELLS = 1 << 22
-# earlier-neighbour lists longer than this are tallied with numpy; shorter
-# ones are scanned in Python, where a numpy call costs more than the scan
+# side lists longer than this are tallied with numpy; shorter ones are
+# scanned in Python, where a numpy call costs more than the scan (a sweep
+# of 32 to 160 on both benchmark graphs showed no clearly faster limit)
 _SHORT_LIST = 48
 # graphs of at most this many nodes color their trials in lockstep, each box
 # one machine word; boxes of several words lost to the list walk from about
@@ -104,38 +107,21 @@ class _SideLists:
 
     ``cols`` concatenates, node by node, the nodes v != u with
     d(u, v) < box_size when ``near``, else those with d(u, v) >= box_size;
-    ``degree[u]`` is the length of node u's list.
+    node u's list is ``cols[ends[u]:ends[u + 1]]``. Every trial reads the
+    lists as built: which entries come before u depends on the trial's
+    order, and the pass tells them apart by their colors.
     """
 
     near: bool
-    degree: np.ndarray
     cols: np.ndarray
-    # which lists are non-empty, and where they start in ``cols``
-    listed: np.ndarray
-    starts: np.ndarray
+    ends: list[int]
     longest: int
 
     @classmethod
     def from_lists(cls, near: bool, degree: np.ndarray, cols: np.ndarray) -> "_SideLists":
-        listed = degree > 0
-        starts = (np.cumsum(degree) - degree)[listed]
-        return cls(
-            near=near, degree=degree, cols=cols, listed=listed, starts=starts,
-            longest=int(degree.max()),
-        )
-
-    def earlier(self, pos: np.ndarray) -> tuple[list[int], np.ndarray]:
-        """The lists cut down to the neighbours that come before their node.
-
-        ``pos[u]`` is node u's place in the order. Node u's earlier
-        neighbours are ``cols[ends[u]:ends[u + 1]]`` of the returned
-        ``(ends, cols)``.
-        """
-        keep = pos[self.cols] < np.repeat(pos, self.degree)
-        ends = np.zeros(pos.size + 1, dtype=np.int64)
-        ends[1:][self.listed] = np.add.reduceat(keep, self.starts, dtype=np.int64)
-        np.cumsum(ends, out=ends)
-        return ends.tolist(), np.compress(keep, self.cols)
+        ends = np.zeros(degree.size + 1, dtype=np.int64)
+        np.cumsum(degree, out=ends[1:])
+        return cls(near=near, cols=cols, ends=ends.tolist(), longest=int(degree.max()))
 
 
 def _plan(
@@ -222,74 +208,58 @@ def _lockstep_counts(far: np.ndarray, orders: np.ndarray) -> np.ndarray:
     return np.count_nonzero(members, axis=1)
 
 
-def _greedy_colors(lists: _SideLists, pos: np.ndarray, order: list[int]) -> tuple[list[int], int]:
-    """Colors of one greedy pass over the nodes in ``order``, and how many were used.
+def _greedy_colors(lists: _SideLists, order: list[int]) -> tuple[list[int], int]:
+    """Colors plus one of a greedy pass over the nodes in ``order``, and how many were used.
 
-    ``pos`` is the inverse permutation of ``order``.
+    A node not yet colored holds 0, so the colored entries of u's list are
+    exactly its earlier neighbours. Color c is open to u when its tally over
+    u's list equals ``target[c]``: the members of c on the near side (every
+    member is an earlier near neighbour), and 0 on the far side (none is an
+    earlier far neighbour). ``members[0] = -1`` keeps the uncolored out.
     """
-    ends, earlier = lists.earlier(pos)
-    scan = memoryview(earlier)
+    near, cols, ends = lists.near, lists.cols, lists.ends
+    scan = memoryview(cols)
     n = len(order)
     colors = [0] * n
     # numpy copies of the state, kept only when some list may take the numpy tally
     mirror = lists.longest > _SHORT_LIST
     colors_np = np.zeros(n, dtype=np.int64)
+    target = np.zeros(n + 1, dtype=np.int64)
+    members = [0] * (n + 1)
+    members[0] = -1
+    tally = [0] * (n + 1)
     ncolors = 0
-    if lists.near:
-        # color c is open to u iff all members[c] nodes of c are earlier near neighbours
-        members = [0] * (n + 1)
-        members_np = np.zeros(n + 1, dtype=np.int64)
-        tally = [0] * (n + 1)
-        for u in order:
-            s, e = ends[u], ends[u + 1]
-            c = ncolors
-            if e - s > _SHORT_LIST:
-                full = np.bincount(colors_np[earlier[s:e]], minlength=ncolors) == members_np[:ncolors]
-                first = int(full.argmax())
-                if full[first]:
-                    c = first
-            else:
-                for v in scan[s:e]:
-                    k = colors[v]
-                    t = tally[k] + 1
-                    tally[k] = t
-                    if t == members[k] and k < c:
-                        c = k
-                for v in scan[s:e]:
-                    tally[colors[v]] = 0
-            colors[u] = c
+    for u in order:
+        s, e = ends[u], ends[u + 1]
+        c = ncolors + 1  # a new color
+        if e - s > _SHORT_LIST:
+            # the new color's bin is 0 on its target 0, so argmax always finds an open color
+            open_ = np.bincount(colors_np[cols[s:e]], minlength=c + 1)[1:] == target[1 : c + 1]
+            c = int(open_.argmax()) + 1
+        elif near:
+            for v in scan[s:e]:
+                k = colors[v]
+                t = tally[k] + 1
+                tally[k] = t
+                if t == members[k] and k < c:
+                    c = k
+            for v in scan[s:e]:
+                tally[colors[v]] = 0
+        else:
+            taken = set(map(colors.__getitem__, scan[s:e]))
+            c = 1
+            while c in taken:
+                c += 1
+        colors[u] = c
+        if mirror:
+            colors_np[u] = c
+        if near:
             members[c] += 1
             if mirror:
-                colors_np[u] = c
-                members_np[c] += 1
-            if c == ncolors:
-                ncolors += 1
-    else:
-        used = np.zeros(n + 1, dtype=bool)
-        for u in order:
-            s, e = ends[u], ends[u + 1]
-            if e - s > _SHORT_LIST:
-                taken = colors_np[earlier[s:e]]
-                used[taken] = True
-                c = int(used.argmin())
-                used[taken] = False
-            else:
-                taken = set(map(colors.__getitem__, scan[s:e]))
-                c = 0
-                while c in taken:
-                    c += 1
-            colors[u] = c
-            if mirror:
-                colors_np[u] = c
-            if c == ncolors:
-                ncolors += 1
+                target[c] += 1
+        if c > ncolors:
+            ncolors = c
     return colors, ncolors
-
-
-def _positions(order: np.ndarray) -> np.ndarray:
-    pos = np.empty(order.size, dtype=np.int32)
-    pos[order] = np.arange(order.size, dtype=np.int32)
-    return pos
 
 
 def greedy_box_cover(dm: DistanceMatrix, box_size, order: Sequence[int]) -> BoxCovering:
@@ -300,15 +270,14 @@ def greedy_box_cover(dm: DistanceMatrix, box_size, order: Sequence[int]) -> BoxC
     n = dm.n
     if order.shape != (n,) or not np.array_equal(np.sort(order), np.arange(n)):
         raise ValueError("order must be a permutation of 0..n-1")
-    pos = _positions(order)
     [entry] = _plan(dm, [box_size])
     if isinstance(entry, _SideLists):
-        colors, ncolors = _greedy_colors(entry, pos, order.tolist())
+        colors, ncolors = _greedy_colors(entry, order.tolist())
+        colors = np.asarray(colors, dtype=np.int64) - 1
     elif entry == n:  # every pair conflicts: each node opens the next box
-        colors, ncolors = pos, n
+        colors, ncolors = np.argsort(order), n
     else:  # no pair conflicts
-        colors, ncolors = np.zeros(n), 1
-    colors = np.asarray(colors, dtype=np.int64)
+        colors, ncolors = np.zeros(n, dtype=np.int64), 1
     colors.setflags(write=False)
     return BoxCovering(box_size=box_size, colors=colors, box_count=ncolors)
 
@@ -319,11 +288,9 @@ def _order(n: int, master_seed: int, trial: int) -> np.ndarray:
 
 
 def _trial_counts(plan: list, n: int, master_seed: int, trial: int) -> list[int]:
-    order = _order(n, master_seed, trial)
-    pos = _positions(order)
-    nodes = order.tolist()
+    nodes = _order(n, master_seed, trial).tolist()
     return [
-        _greedy_colors(entry, pos, nodes)[1] if isinstance(entry, _SideLists) else entry
+        _greedy_colors(entry, nodes)[1] if isinstance(entry, _SideLists) else entry
         for entry in plan
     ]
 

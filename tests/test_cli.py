@@ -162,6 +162,27 @@ class TestDim:
         assert code == 2
         assert "line 2" in stderr
 
+    def test_unreadable_file_exit_2(self, karate_file, capsys, monkeypatch):
+        def refuse(path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(cli, "read_edge_list", refuse)
+        code, _, stderr = run_cli(["dim", "--input", str(karate_file)], capsys)
+        assert code == 2
+        assert f"error: cannot read {karate_file}: " in stderr
+        assert "Traceback" not in stderr
+
+    @pytest.mark.parametrize("flag", ["--csv", "--json", "--dump-matrix"])
+    def test_unwritable_output_exit_2(self, karate_file, tmp_path, capsys, flag):
+        paths = {"--csv": tmp_path / "s.csv", "--json": tmp_path / "s.json"}
+        paths[flag] = tmp_path / "missing" / "out"
+        args = ["dim", "--input", str(karate_file), "--method", "hop", "--trials", "5"]
+        for option, path in paths.items():
+            args += [option, str(path)]
+        code, _, stderr = run_cli(args, capsys)
+        assert code == 2
+        assert f"error: cannot write {paths[flag]}: " in stderr
+
     def test_bad_trials_exit_2(self, karate_file, capsys):
         code, _, stderr = run_cli(
             ["dim", "--input", str(karate_file), "--trials", "0"], capsys

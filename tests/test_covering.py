@@ -1,5 +1,6 @@
 import concurrent.futures
 import logging
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 from itertools import combinations, permutations
 
@@ -20,7 +21,7 @@ from conftest import (
     trial_stats,
 )
 
-# list lengths that send every earlier-neighbour list through the numpy
+# list lengths that send every side list through the numpy
 # tally, or every one through the Python scan
 SHORT_LIST_LIMITS = (0, 10**9)
 # node counts up to which covering_counts colors in lockstep: never (every
@@ -258,6 +259,23 @@ class TestGreedyCorePaths:
                     cov = bd.greedy_box_cover(dm, lb, order)
                 assert cov.colors[order].tolist() == ref_colors
                 assert cov.box_count == max(ref_colors) + 1
+
+    def test_trial_allocates_nothing_per_list_entry(self):
+        # a trial reads the side lists as built: what it allocates grows
+        # with the node count, never with the list lengths
+        dm = bd.all_pairs(bd.generate_sierpinski(4).graph, bd.HOP)
+        plan = covering._plan(dm, range(2, dm.diameter + 1))
+        lists = [entry for entry in plan if isinstance(entry, covering._SideLists)]
+        assert lists
+        largest = max(entry.cols.nbytes for entry in lists)
+        covering._trial_counts(plan, dm.n, 0, 0)  # warm-up
+        tracemalloc.start()
+        try:
+            covering._trial_counts(plan, dm.n, 0, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < largest / 4
 
     def test_karate_hop_takes_every_branch(self, karate):
         # short-circuit at n, near lists, far lists and short-circuit at 1
