@@ -221,6 +221,9 @@ def _run_analysis(args, methods: list[str]) -> int:
             raise InputError("--fit-range bounds must be finite")
         if lo > hi:
             raise InputError(f"--fit-range LO ({lo:g}) must not exceed HI ({hi:g})")
+    for path in (args.csv, args.json, args.dump_matrix):  # refused before the analysis runs
+        if path is not None and not Path(path).parent.is_dir():
+            raise InputError(f"cannot write {path}: no directory {Path(path).parent}")
     dataset, graph = _load_input(args)
     # once for every method, so a disconnected input is reported once
     comp = largest_component(graph)

@@ -18,13 +18,12 @@ count:
   word of members each. All trials are colored at once, one node position at
   a time: a node takes, in every trial, the first box whose members miss its
   far set. These sizes run in the calling process and never fork workers.
-* Larger graphs walk each trial on its own, over a CSR list for each node of
-  whichever side of the threshold holds fewer pairs, read as built: a node
-  not yet colored holds color 0, so the colored entries of a list are the
-  node's earlier neighbours. On the far side a node rules out the colors of
-  its earlier far neighbours. On the near side (distance < box_size) a color
-  is open to a node only when every member is one of its earlier near
-  neighbours. Both sides give the same colors.
+* Larger graphs walk each trial on its own, over each node's list of
+  whichever side of the threshold holds fewer pairs: a slice of its distance
+  row sorted once per call. A node not yet colored holds color 0, so the
+  colored entries of a list are its earlier neighbours. On the far side a
+  node rules out their colors; on the near side (distance < box_size) a color
+  is open to it only when every member is one of them. Both give the same colors.
 
 Greedy coloring is order-dependent, so trials reshuffle the node order with
 independently seeded generators; results are identical for a fixed master
@@ -45,8 +44,8 @@ logger = logging.getLogger(__name__)
 
 BRUTE_FORCE_MAX_NODES = 12
 
-# distance cells compared at once while the lists are built (a 4 MB mask)
-_CHUNK_CELLS = 1 << 22
+# distance cells compared or sorted at once (the sort's int64 indices take 8 MB)
+_CHUNK_CELLS = 1 << 20
 # side lists longer than this are tallied with numpy; shorter ones are
 # scanned in Python, where a numpy call costs more than the scan (a sweep
 # of 32 to 160 on both benchmark graphs showed no clearly faster limit)
@@ -105,23 +104,17 @@ class TrialStatistics:
 class _SideLists:
     """Each node's neighbours on the smaller side of one box size's threshold.
 
-    ``cols`` concatenates, node by node, the nodes v != u with
-    d(u, v) < box_size when ``near``, else those with d(u, v) >= box_size;
-    node u's list is ``cols[ends[u]:ends[u + 1]]``. Every trial reads the
-    lists as built: which entries come before u depends on the trial's
-    order, and the pass tells them apart by their colors.
+    Row u of ``nearest``, shared by every size, lists all nodes by ascending
+    distance from u, u first; u's list ``nearest.reshape(-1)[lo[u]:hi[u]]``
+    holds the v != u with d(u, v) < box_size when ``near``, else the rest of
+    the row. Which entries come before u depends on the trial's order, and
+    the pass tells them apart by their colors.
     """
 
     near: bool
-    cols: np.ndarray
-    ends: list[int]
-    longest: int
-
-    @classmethod
-    def from_lists(cls, near: bool, degree: np.ndarray, cols: np.ndarray) -> "_SideLists":
-        ends = np.zeros(degree.size + 1, dtype=np.int64)
-        np.cumsum(degree, out=ends[1:])
-        return cls(near=near, cols=cols, ends=ends.tolist(), longest=int(degree.max()))
+    nearest: np.ndarray
+    lo: list[int]
+    hi: list[int]
 
 
 def _plan(
@@ -131,23 +124,24 @@ def _plan(
 
     That is each node's far set as a word (see ``_far_words``) when the
     ``trials`` of a covering call run in lockstep, on graphs of at most
-    ``_WORD_NODES`` nodes; else the side lists, cut from ``dm.dist`` a block
-    of rows at a time, so nothing of n x n size is allocated.
+    ``_WORD_NODES`` nodes; else the side lists. ``dm.dist`` is read a block of
+    rows at a time, so the only n x n array allocated is the sorted rows.
     """
     dist = dm.dist
     n = dm.n
     step = max(1, _CHUNK_CELLS // max(n, 1))
     blocks = [(a, min(a + step, n)) for a in range(0, n, step)]
-    ids = np.arange(n, dtype=np.int32)
     lockstep = trials > 0 and n <= _WORD_NODES
+    nearest = None
     plan: list[int | np.ndarray | _SideLists] = []
     for b in sizes:
         if b > dm.diameter:
             logger.debug("box size %d: short-circuited, N_B = 1 (above the diameter)", b)
             plan.append(1)
             continue
-        # ordered pairs u != v at distance < b (the diagonal is 0 < b)
-        near_pairs = sum(int(np.count_nonzero(dist[a:z] < b)) for a, z in blocks) - n
+        # cut[u] counts the nodes v with d(u, v) < b, u itself included
+        cut = np.concatenate([np.count_nonzero(dist[a:z] < b, axis=1) for a, z in blocks])
+        near_pairs = int(cut.sum()) - n  # ordered pairs u != v
         if near_pairs == 0:
             logger.debug(
                 "box size %d: short-circuited, N_B = n = %d (at or below the smallest distance)",
@@ -159,22 +153,25 @@ def _plan(
             logger.debug("box size %d: bitset, %d trials in lockstep", b, trials)
             plan.append(_far_words(dist, b))
             continue
+        if nearest is None:
+            # a radix sort for 16-bit distances; timsort was 4 times slower on int32
+            kind = "stable" if dist.itemsize <= 2 else "quicksort"
+            nearest = np.empty((n, n), dtype=np.min_scalar_type(n - 1))
+            for a, z in blocks:
+                nearest[a:z] = np.argsort(dist[a:z], axis=1, kind=kind)
+            # a row's own node leads it unless another is at distance 0 from it
+            if not np.array_equal(nearest[:, 0], np.arange(n)):
+                raise ValueError("an off-diagonal distance is 0; covering needs positive ones")
+            row = np.arange(0, n * n, n)
+            after_self, row_end = (row + 1).tolist(), (row + n).tolist()
         near = 2 * near_pairs <= n * (n - 1)
-        degree = np.empty(n, dtype=np.int64)
-        parts = []
-        for a, z in blocks:
-            block = dist[a:z]
-            side = block < b if near else block >= b
-            if near:
-                side[np.arange(z - a), np.arange(a, z)] = False  # a node is not its own neighbour
-            degree[a:z] = np.count_nonzero(side, axis=1)
-            parts.append(np.broadcast_to(ids, side.shape)[side])
-        lists = _SideLists.from_lists(near, degree, np.concatenate(parts))
+        split = (row + cut).tolist()
+        lo, hi = (after_self, split) if near else (split, row_end)
         logger.debug(
             "box size %d: %s side, %d list entries",
-            b, "near" if near else "far", lists.cols.size,
+            b, "near" if near else "far", near_pairs if near else n * (n - 1) - near_pairs,
         )
-        plan.append(lists)
+        plan.append(_SideLists(near, nearest, lo, hi))
     return plan
 
 
@@ -217,12 +214,12 @@ def _greedy_colors(lists: _SideLists, order: list[int]) -> tuple[list[int], int]
     member is an earlier near neighbour), and 0 on the far side (none is an
     earlier far neighbour). ``members[0] = -1`` keeps the uncolored out.
     """
-    near, cols, ends = lists.near, lists.cols, lists.ends
+    near, lo, hi = lists.near, lists.lo, lists.hi
+    cols = lists.nearest.reshape(-1)
     scan = memoryview(cols)
     n = len(order)
     colors = [0] * n
-    # numpy copies of the state, kept only when some list may take the numpy tally
-    mirror = lists.longest > _SHORT_LIST
+    # numpy copies of the state, for the lists long enough for the numpy tally
     colors_np = np.zeros(n, dtype=np.int64)
     target = np.zeros(n + 1, dtype=np.int64)
     members = [0] * (n + 1)
@@ -230,7 +227,7 @@ def _greedy_colors(lists: _SideLists, order: list[int]) -> tuple[list[int], int]
     tally = [0] * (n + 1)
     ncolors = 0
     for u in order:
-        s, e = ends[u], ends[u + 1]
+        s, e = lo[u], hi[u]
         c = ncolors + 1  # a new color
         if e - s > _SHORT_LIST:
             # the new color's bin is 0 on its target 0, so argmax always finds an open color
@@ -251,12 +248,10 @@ def _greedy_colors(lists: _SideLists, order: list[int]) -> tuple[list[int], int]
             while c in taken:
                 c += 1
         colors[u] = c
-        if mirror:
-            colors_np[u] = c
+        colors_np[u] = c
         if near:
             members[c] += 1
-            if mirror:
-                target[c] += 1
+            target[c] += 1
         if c > ncolors:
             ncolors = c
     return colors, ncolors

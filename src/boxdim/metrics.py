@@ -100,14 +100,15 @@ def edge_repulsive_force(g: Graph) -> WeightedGraph:
     return WeightedGraph(graph=g, weights=weights)
 
 
-def _degree_groups(indptr, arcs) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(nodes, their arcs' entries of ``arcs`` as rows) for each degree, so a
-    round runs on equal-length rows."""
+def _degree_groups(indptr, indices, weights) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(nodes, their neighbours and arc weights as rows of the same arc slots)
+    for each degree, so a round runs on equal-length rows."""
     degree = np.diff(indptr)
     groups = []
     for d in np.unique(degree):
         nodes = np.flatnonzero(degree == d)
-        groups.append((nodes, arcs[indptr[nodes, None] + np.arange(d)]))
+        slots = indptr[nodes, None] + np.arange(d)
+        groups.append((nodes, indices[slots], weights[slots]))
     return groups
 
 
@@ -147,7 +148,7 @@ def _repulsion_matrix(indptr, indices, weights) -> tuple[np.ndarray, int, int]:
     degree = np.diff(indptr)
     wmax = int(weights.max(initial=0))
     weights = weights.astype(_matrix_dtype(n, wmax))
-    groups = list(zip(_degree_groups(indptr, indices), _degree_groups(indptr, weights)))
+    groups = _degree_groups(indptr, indices, weights)
     mat = np.full((n, n), (n - 1) * wmax + 1, dtype=weights.dtype)
     np.fill_diagonal(mat, 0)
     fell = np.zeros((n, n), dtype=bool)
@@ -191,7 +192,7 @@ def _pull_round(groups, mat, fell, degree) -> int:
     n = mat.shape[0]
     step = max(1, _PULL_CELLS // n)
     cost = 0
-    for (nodes, nbrs), (_, wts) in groups:
+    for nodes, nbrs, wts in groups:
         for a in range(0, nodes.size, step):
             rows = nodes[a : a + step]
             low = mat[rows]

@@ -173,7 +173,12 @@ class TestDim:
         assert "Traceback" not in stderr
 
     @pytest.mark.parametrize("flag", ["--csv", "--json", "--dump-matrix"])
-    def test_unwritable_output_exit_2(self, karate_file, tmp_path, capsys, flag):
+    def test_unwritable_output_exit_2(self, karate_file, tmp_path, capsys, monkeypatch, flag):
+        # refused before any analysis: building a matrix fails the test
+        def no_analysis(*args, **kwargs):
+            raise AssertionError("the analysis ran")
+
+        monkeypatch.setattr(cli, "all_pairs", no_analysis)
         paths = {"--csv": tmp_path / "s.csv", "--json": tmp_path / "s.json"}
         paths[flag] = tmp_path / "missing" / "out"
         args = ["dim", "--input", str(karate_file), "--method", "hop", "--trials", "5"]

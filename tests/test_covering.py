@@ -267,7 +267,7 @@ class TestGreedyCorePaths:
         plan = covering._plan(dm, range(2, dm.diameter + 1))
         lists = [entry for entry in plan if isinstance(entry, covering._SideLists)]
         assert lists
-        largest = max(entry.cols.nbytes for entry in lists)
+        largest = max(sum(entry.hi) - sum(entry.lo) for entry in lists) * lists[0].nearest.itemsize
         covering._trial_counts(plan, dm.n, 0, 0)  # warm-up
         tracemalloc.start()
         try:
@@ -276,6 +276,36 @@ class TestGreedyCorePaths:
         finally:
             tracemalloc.stop()
         assert peak < largest / 4
+
+    def test_plan_holds_one_matrix_beside_the_distances(self):
+        # every size's lists are slices of one sorted node matrix, no larger
+        # than the int16 distances, and the sort works a block of rows at a time
+        dm = bd.all_pairs(bd.generate_sierpinski(5).graph, bd.HOP)
+        tracemalloc.start()
+        try:
+            plan = covering._plan(dm, range(2, dm.diameter + 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert any(isinstance(entry, covering._SideLists) for entry in plan)
+        assert peak < 1.5 * dm.dist.nbytes
+
+    def test_sizes_share_one_nearest_matrix(self):
+        dm = bd.all_pairs(bd.generate_sierpinski(3).graph, bd.HOP)
+        plan = covering._plan(dm, range(2, dm.diameter + 1))
+        lists = [entry for entry in plan if isinstance(entry, covering._SideLists)]
+        assert len(lists) > 1 and {entry.near for entry in lists} == {True, False}
+        assert all(entry.nearest is lists[0].nearest for entry in lists)
+
+    def test_off_diagonal_zero_refused(self):
+        # no all_pairs matrix holds one; a node sharing another's place would
+        # not lead its own sorted row
+        g = random_connected_graph(70, 30, seed=4)
+        dist = bd.all_pairs(g, bd.HOP).dist.copy()
+        dist[10, 20] = dist[20, 10] = 0
+        dm = bd.DistanceMatrix(metric_kind=bd.HOP, dist=dist, diameter=int(dist.max()))
+        with pytest.raises(ValueError, match="off-diagonal distance is 0"):
+            bd.covering_counts(dm, [2, 3], trials=2, master_seed=0)
 
     def test_karate_hop_takes_every_branch(self, karate):
         # short-circuit at n, near lists, far lists and short-circuit at 1
