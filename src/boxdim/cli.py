@@ -129,7 +129,7 @@ def _load_input(args) -> tuple[str, Graph]:
             graph = read_edge_list(path)
         except EdgeListError as exc:
             raise InputError(f"{path}: {exc}") from exc
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read {path}: {exc}") from exc
         return path.stem, graph
 

@@ -8,10 +8,12 @@ nodes in a given order, each taking the smallest color not used by an earlier
 node at distance >= box_size.
 
 The dual does not depend on the order, so each covering call materialises it
-once, shared by every trial and worker. Box sizes at or below the smallest
-distance give one box per node, and sizes above the diameter a single box,
-without a pass. Every other size takes one of two steps, chosen by the node
-count:
+once, shared by every trial and worker. An isolated node (no other node
+closer than box_size) clashes with every node, so it is a box of its own; a
+universal node (every node closer) clashes with none, so it joins the first
+box. Neither is walked: the count is the walk's boxes plus the isolated
+nodes, and at least 1. Sizes at or below the smallest distance, or above the
+diameter, walk no node. The walk takes one of two steps, chosen by node count:
 
 * Graphs of at most 64 nodes (``_WORD_NODES``) hold each node's far set
   (distance >= box_size) as one 64-bit word, and each trial's boxes as one
@@ -117,61 +119,63 @@ class _SideLists:
     hi: list[int]
 
 
-def _plan(
-    dm: DistanceMatrix, sizes: Sequence[int], trials: int = 0
-) -> list[int | np.ndarray | _SideLists]:
-    """For each box size, its box count when no pass is needed, else what the pass reads.
+@dataclass(frozen=True, eq=False)
+class _SizePlan:
+    """One box size's pass: ``walk`` masks the nodes a trial colors, ``alone``
+    counts the isolated nodes, and ``step`` is the far-set words (see
+    ``_far_words``) in lockstep, else the side lists."""
 
-    That is each node's far set as a word (see ``_far_words``) when the
-    ``trials`` of a covering call run in lockstep, on graphs of at most
-    ``_WORD_NODES`` nodes; else the side lists. ``dm.dist`` is read a block of
-    rows at a time, so the only n x n array allocated is the sorted rows.
+    walk: np.ndarray
+    alone: int
+    step: np.ndarray | _SideLists
+
+
+def _plan(dm: DistanceMatrix, sizes: Sequence[int], trials: int = 0) -> list[_SizePlan]:
+    """For each box size, the nodes its pass walks and what the pass reads.
+
+    The far-set words serve when the ``trials`` of a covering call run in
+    lockstep, on graphs of at most ``_WORD_NODES`` nodes; the side lists
+    otherwise. ``dm.dist`` is read a block of rows at a time, so the only
+    n x n array allocated is the sorted rows.
     """
     dist = dm.dist
     n = dm.n
-    step = max(1, _CHUNK_CELLS // max(n, 1))
-    blocks = [(a, min(a + step, n)) for a in range(0, n, step)]
+    block_rows = max(1, _CHUNK_CELLS // max(n, 1))
+    blocks = [(a, min(a + block_rows, n)) for a in range(0, n, block_rows)]
     lockstep = trials > 0 and n <= _WORD_NODES
-    nearest = None
-    plan: list[int | np.ndarray | _SideLists] = []
+    if not lockstep:
+        # a radix sort for 16-bit distances; timsort was 4 times slower on int32
+        kind = "stable" if dist.itemsize <= 2 else "quicksort"
+        nearest = np.empty((n, n), dtype=np.min_scalar_type(n - 1))
+        for a, z in blocks:
+            nearest[a:z] = np.argsort(dist[a:z], axis=1, kind=kind)
+        # a row's own node leads it, alone at distance 0, unless another is at 0
+        # too; then the row's second node is at 0 whatever the sort's tie order
+        if n > 1 and not (dist[np.arange(n), nearest[:, 1]] > 0).all():
+            raise ValueError("an off-diagonal distance is 0; covering needs positive ones")
+        row = np.arange(0, n * n, n)
+        after_self, row_end = (row + 1).tolist(), (row + n).tolist()
+    plan: list[_SizePlan] = []
     for b in sizes:
-        if b > dm.diameter:
-            logger.debug("box size %d: short-circuited, N_B = 1 (above the diameter)", b)
-            plan.append(1)
-            continue
         # cut[u] counts the nodes v with d(u, v) < b, u itself included
         cut = np.concatenate([np.count_nonzero(dist[a:z] < b, axis=1) for a, z in blocks])
-        near_pairs = int(cut.sum()) - n  # ordered pairs u != v
-        if near_pairs == 0:
-            logger.debug(
-                "box size %d: short-circuited, N_B = n = %d (at or below the smallest distance)",
-                b, n,
-            )
-            plan.append(n)
-            continue
+        walk = (cut > 1) & (cut < n)
+        alone = int(np.count_nonzero(cut == 1))
         if lockstep:
-            logger.debug("box size %d: bitset, %d trials in lockstep", b, trials)
-            plan.append(_far_words(dist, b))
-            continue
-        if nearest is None:
-            # a radix sort for 16-bit distances; timsort was 4 times slower on int32
-            kind = "stable" if dist.itemsize <= 2 else "quicksort"
-            nearest = np.empty((n, n), dtype=np.min_scalar_type(n - 1))
-            for a, z in blocks:
-                nearest[a:z] = np.argsort(dist[a:z], axis=1, kind=kind)
-            # a row's own node leads it unless another is at distance 0 from it
-            if not np.array_equal(nearest[:, 0], np.arange(n)):
-                raise ValueError("an off-diagonal distance is 0; covering needs positive ones")
-            row = np.arange(0, n * n, n)
-            after_self, row_end = (row + 1).tolist(), (row + n).tolist()
-        near = 2 * near_pairs <= n * (n - 1)
-        split = (row + cut).tolist()
-        lo, hi = (after_self, split) if near else (split, row_end)
+            step = _far_words(dist, b)
+            what = f"bitset, {trials} trials in lockstep"
+        else:
+            near_pairs = int(cut.sum()) - n  # ordered pairs u != v
+            near = 2 * near_pairs <= n * (n - 1)
+            split = (row + cut).tolist()
+            lo, hi = (after_self, split) if near else (split, row_end)
+            step = _SideLists(near, nearest, lo, hi)
+            entries = near_pairs if near else n * (n - 1) - near_pairs
+            what = f"{'near' if near else 'far'} side, {entries} list entries"
         logger.debug(
-            "box size %d: %s side, %d list entries",
-            b, "near" if near else "far", near_pairs if near else n * (n - 1) - near_pairs,
+            "box size %d: %s, %d nodes walked, %d isolated", b, what, np.count_nonzero(walk), alone
         )
-        plan.append(_SideLists(near, nearest, lo, hi))
+        plan.append(_SizePlan(walk, alone, step))
     return plan
 
 
@@ -217,7 +221,7 @@ def _greedy_colors(lists: _SideLists, order: list[int]) -> tuple[list[int], int]
     near, lo, hi = lists.near, lists.lo, lists.hi
     cols = lists.nearest.reshape(-1)
     scan = memoryview(cols)
-    n = len(order)
+    n = lists.nearest.shape[0]
     colors = [0] * n
     # numpy copies of the state, for the lists long enough for the numpy tally
     colors_np = np.zeros(n, dtype=np.int64)
@@ -265,14 +269,10 @@ def greedy_box_cover(dm: DistanceMatrix, box_size, order: Sequence[int]) -> BoxC
     n = dm.n
     if order.shape != (n,) or not np.array_equal(np.sort(order), np.arange(n)):
         raise ValueError("order must be a permutation of 0..n-1")
+    # every node walks, so that each gets its color
     [entry] = _plan(dm, [box_size])
-    if isinstance(entry, _SideLists):
-        colors, ncolors = _greedy_colors(entry, order.tolist())
-        colors = np.asarray(colors, dtype=np.int64) - 1
-    elif entry == n:  # every pair conflicts: each node opens the next box
-        colors, ncolors = np.argsort(order), n
-    else:  # no pair conflicts
-        colors, ncolors = np.zeros(n, dtype=np.int64), 1
+    colors, ncolors = _greedy_colors(entry.step, order.tolist())
+    colors = np.asarray(colors, dtype=np.int64) - 1
     colors.setflags(write=False)
     return BoxCovering(box_size=box_size, colors=colors, box_count=ncolors)
 
@@ -282,12 +282,10 @@ def _order(n: int, master_seed: int, trial: int) -> np.ndarray:
     return np.random.default_rng((master_seed, trial)).permutation(n)
 
 
-def _trial_counts(plan: list, n: int, master_seed: int, trial: int) -> list[int]:
-    nodes = _order(n, master_seed, trial).tolist()
-    return [
-        _greedy_colors(entry, nodes)[1] if isinstance(entry, _SideLists) else entry
-        for entry in plan
-    ]
+def _trial_counts(plan: list[_SizePlan], n: int, master_seed: int, trial: int) -> list[int]:
+    """Each size's count of boxes that its walked nodes take in trial ``trial``."""
+    order = _order(n, master_seed, trial)
+    return [_greedy_colors(entry.step, order[entry.walk[order]].tolist())[1] for entry in plan]
 
 
 # a fork worker's (plan, n, master_seed), inherited from the parent at fork
@@ -317,10 +315,10 @@ def covering_counts(
     (master_seed, t), and the result matrix is assembled by trial index, so
     the output is identical for any worker count. On graphs of at most 64
     nodes every trial is colored in lockstep, a block of trials at a time,
-    in this process: ``workers`` starts no process there, nor when every size
-    is short-circuited. Otherwise each trial walks the side lists, on
-    ``workers`` forked processes that share the lists built here; a worker
-    that dies raises ``concurrent.futures.process.BrokenProcessPool``.
+    in this process: ``workers`` starts no process there, nor when no size
+    walks a node. Otherwise each trial walks the side lists, on ``workers``
+    forked processes that share the lists built here; a worker that dies
+    raises ``concurrent.futures.process.BrokenProcessPool``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -328,44 +326,40 @@ def covering_counts(
     if any(b <= 0 for b in sizes):
         raise ValueError("box sizes must be positive")
     plan = _plan(dm, sizes, trials)
-    counts = np.empty((len(sizes), trials), dtype=np.int64)
-    if not any(isinstance(entry, _SideLists) for entry in plan):
-        # every size is short-circuited or a bitset, so no worker is needed
-        bitsets = []
-        for row, entry in zip(counts, plan):
-            if isinstance(entry, np.ndarray):
-                bitsets.append((row, entry))
-            else:
-                row[:] = entry
-        if bitsets:
-            for first in range(0, trials, _TRIAL_BLOCK):
-                stop = min(first + _TRIAL_BLOCK, trials)
-                orders = np.empty((stop - first, dm.n), dtype=np.uint8)
-                for t in range(first, stop):
-                    orders[t - first] = _order(dm.n, master_seed, t)
-                for row, far in bitsets:
-                    row[first:stop] = _lockstep_counts(far, orders)
-        return counts
+    n = dm.n
+    # the boxes of the walked nodes; the isolated nodes' boxes are added last
+    counts = np.zeros((len(sizes), trials), dtype=np.int64)
+    if n <= _WORD_NODES:
+        for first in range(0, trials, _TRIAL_BLOCK):
+            stop = min(first + _TRIAL_BLOCK, trials)
+            orders = np.empty((stop - first, n), dtype=np.uint8)
+            for t in range(first, stop):
+                orders[t - first] = _order(n, master_seed, t)
+            for row, entry in zip(counts, plan):
+                # every trial walks the same number of nodes, each in its own order
+                walked = orders[entry.walk[orders]].reshape(stop - first, -1)
+                row[first:stop] = _lockstep_counts(entry.step, walked)
+    elif any(entry.walk.any() for entry in plan):
+        workers = max(1, min(int(workers), trials))
+        if workers > 1 and hasattr(os, "fork"):
+            # imported here so that importing the package does not pay for them
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
 
-    workers = max(1, min(int(workers), trials))
-    if workers > 1 and hasattr(os, "fork"):
-        # imported here so that importing the package does not pay for them
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunk = max(1, trials // (workers * 8))
-        with ProcessPoolExecutor(
-            workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_init_worker,
-            initargs=(plan, dm.n, master_seed),
-        ) as pool:
-            for t, col in enumerate(pool.map(_worker_trial, range(trials), chunksize=chunk)):
-                counts[:, t] = col
-    else:
-        for t in range(trials):
-            counts[:, t] = _trial_counts(plan, dm.n, master_seed, t)
-    return counts
+            chunk = max(1, trials // (workers * 8))
+            with ProcessPoolExecutor(
+                workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_init_worker,
+                initargs=(plan, n, master_seed),
+            ) as pool:
+                for t, col in enumerate(pool.map(_worker_trial, range(trials), chunksize=chunk)):
+                    counts[:, t] = col
+        else:
+            for t in range(trials):
+                counts[:, t] = _trial_counts(plan, n, master_seed, t)
+    alone = np.array([entry.alone for entry in plan], dtype=np.int64)
+    return np.maximum(counts + alone[:, None], 1)
 
 
 def brute_force_min_boxes(dm: DistanceMatrix, box_size) -> int:

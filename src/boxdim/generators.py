@@ -23,7 +23,7 @@ class SierpinskiModule:
     level: int
 
 
-def generate_sierpinski(level: int, max_level: int = MAX_SIERPINSKI_LEVEL) -> SierpinskiModule:
+def generate_sierpinski(level: int) -> SierpinskiModule:
     """Build the Sierpinski triangle network of the given level.
 
     Level 0 is a complete graph on 4 nodes (one center, three corners). Each
@@ -38,8 +38,8 @@ def generate_sierpinski(level: int, max_level: int = MAX_SIERPINSKI_LEVEL) -> Si
     """
     if level < 0:
         raise ValueError("level must be non-negative")
-    if level > max_level:
-        raise ValueError(f"level above cap ({max_level}): {level}")
+    if level > MAX_SIERPINSKI_LEVEL:
+        raise ValueError(f"level above cap ({MAX_SIERPINSKI_LEVEL}): {level}")
 
     n = 4
     edges: list[tuple[int, int]] = list(combinations(range(4), 2))

@@ -172,6 +172,14 @@ class TestDim:
         assert f"error: cannot read {karate_file}: " in stderr
         assert "Traceback" not in stderr
 
+    def test_non_utf8_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"1 2\n\xff 3\n")
+        code, _, stderr = run_cli(["dim", "--input", str(path)], capsys)
+        assert code == 2
+        assert f"error: cannot read {path}: " in stderr and "utf-8" in stderr
+        assert "Traceback" not in stderr
+
     @pytest.mark.parametrize("flag", ["--csv", "--json", "--dump-matrix"])
     def test_unwritable_output_exit_2(self, karate_file, tmp_path, capsys, monkeypatch, flag):
         # refused before any analysis: building a matrix fails the test

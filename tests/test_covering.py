@@ -31,7 +31,8 @@ WORD_NODE_LIMITS = (0, 64)
 
 def all_box_sizes(dm):
     """Box size 1, every distance and one above it, and one past the diameter,
-    so every size is short-circuited (N_B = n or 1) or needs a pass."""
+    so some sizes walk no node (every node is isolated, or every node is
+    universal) and the rest walk near or far lists."""
     distances = bd.distinct_distances(dm).tolist()
     return sorted({1, dm.diameter + 5, *distances, *(d + 1 for d in distances)})
 
@@ -265,7 +266,7 @@ class TestGreedyCorePaths:
         # with the node count, never with the list lengths
         dm = bd.all_pairs(bd.generate_sierpinski(4).graph, bd.HOP)
         plan = covering._plan(dm, range(2, dm.diameter + 1))
-        lists = [entry for entry in plan if isinstance(entry, covering._SideLists)]
+        lists = [entry.step for entry in plan]
         assert lists
         largest = max(sum(entry.hi) - sum(entry.lo) for entry in lists) * lists[0].nearest.itemsize
         covering._trial_counts(plan, dm.n, 0, 0)  # warm-up
@@ -287,32 +288,41 @@ class TestGreedyCorePaths:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert any(isinstance(entry, covering._SideLists) for entry in plan)
+        assert any(isinstance(entry.step, covering._SideLists) for entry in plan)
         assert peak < 1.5 * dm.dist.nbytes
 
     def test_sizes_share_one_nearest_matrix(self):
         dm = bd.all_pairs(bd.generate_sierpinski(3).graph, bd.HOP)
         plan = covering._plan(dm, range(2, dm.diameter + 1))
-        lists = [entry for entry in plan if isinstance(entry, covering._SideLists)]
+        lists = [entry.step for entry in plan]
         assert len(lists) > 1 and {entry.near for entry in lists} == {True, False}
         assert all(entry.nearest is lists[0].nearest for entry in lists)
 
     def test_off_diagonal_zero_refused(self):
-        # no all_pairs matrix holds one; a node sharing another's place would
-        # not lead its own sorted row
-        g = random_connected_graph(70, 30, seed=4)
-        dist = bd.all_pairs(g, bd.HOP).dist.copy()
-        dist[10, 20] = dist[20, 10] = 0
-        dm = bd.DistanceMatrix(metric_kind=bd.HOP, dist=dist, diameter=int(dist.max()))
-        with pytest.raises(ValueError, match="off-diagonal distance is 0"):
-            bd.covering_counts(dm, [2, 3], trials=2, master_seed=0)
+        # no all_pairs matrix holds one; a node sharing another's place need
+        # not lead its own sorted row. 32- and 64-bit rows are sorted
+        # unstably, and on the 600-node graph both nodes of the pair can still
+        # lead their own rows
+        for n, extra, (u, v), dtype in [
+            (70, 30, (10, 20), np.int16),
+            (600, 300, (436, 379), np.int32),
+            (600, 300, (436, 379), np.int64),
+        ]:
+            g = random_connected_graph(n, extra, seed=4)
+            dist = bd.all_pairs(g, bd.HOP).dist.astype(dtype)
+            dist[u, v] = dist[v, u] = 0
+            dm = bd.DistanceMatrix(metric_kind=bd.HOP, dist=dist, diameter=int(dist.max()))
+            with pytest.raises(ValueError, match="off-diagonal distance is 0"):
+                bd.covering_counts(dm, [2, 3], trials=2, master_seed=0)
 
     def test_karate_hop_takes_every_branch(self, karate):
-        # short-circuit at n, near lists, far lists and short-circuit at 1
+        # no node walks at size 1 (every node isolated, N_B = n) or 6 (every
+        # node universal, N_B = 1); near lists at 2 and far lists at 4
         dm = bd.all_pairs(karate, bd.HOP)
         plan = covering._plan(dm, [1, 2, 4, 6])
-        assert plan[0] == dm.n and plan[3] == 1
-        assert plan[1].near and not plan[2].near
+        assert not plan[0].walk.any() and plan[0].alone == dm.n
+        assert not plan[3].walk.any() and plan[3].alone == 0
+        assert plan[1].step.near and not plan[2].step.near
         counts = bd.covering_counts(dm, [1, 2, 4, 6], trials=20, master_seed=8)
         for t in range(20):
             order = np.random.default_rng((8, t)).permutation(dm.n)
@@ -329,10 +339,34 @@ class TestGreedyCorePaths:
             bd.covering_counts(sier, [2, 7], trials=5, master_seed=0)
         lines = [r.getMessage() for r in caplog.records if r.name == "boxdim.covering"]
         assert len(lines) == 6
-        assert "N_B = n = 34" in lines[0] and "short-circuited" in lines[0]
-        assert all("bitset, 5 trials" in line for line in lines[1:3])
-        assert "N_B = 1" in lines[3] and "short-circuited" in lines[3]
+        assert all("bitset, 5 trials" in line for line in lines[:4])
+        assert "0 nodes walked, 34 isolated" in lines[0]
+        assert "0 nodes walked, 0 isolated" in lines[3]
         assert "near side" in lines[4] and "far side" in lines[5]
+        assert all(" list entries, " in line and " nodes walked, " in line for line in lines[4:])
+
+    @pytest.mark.parametrize("n", [41, 101])
+    def test_isolated_and_universal_nodes_leave_the_walk(self, n):
+        # on both sides of 64 nodes (the bitset lockstep, then the lists): a
+        # star under hop at size 2, whose hub is closer than 2 to every node;
+        # and a repulsion graph just above its smallest distance, where a node
+        # on no smallest-distance pair has no node closer than the size
+        star = bd.all_pairs(bd.Graph.from_edges(n, [(0, v) for v in range(1, n)]), bd.HOP)
+        g = random_connected_graph(n, n, seed=n)
+        rep = bd.all_pairs(bd.edge_repulsive_force(g), bd.REPULSION)
+        low = int(bd.distinct_distances(rep)[0])
+        paired = (rep.dist == low).any(axis=1)
+        assert 0 < paired.sum() < n - 1
+        for dm, b, walk, alone in [
+            (star, 2, np.arange(n) > 0, 0),
+            (rep, low + 1, paired, n - int(paired.sum())),
+        ]:
+            [entry] = covering._plan(dm, [b], trials=5)
+            assert entry.walk.tolist() == walk.tolist() and entry.alone == alone
+            counts = bd.covering_counts(dm, [b], trials=5, master_seed=n)
+            for t in range(5):
+                order = np.random.default_rng((n, t)).permutation(n)
+                assert counts[0, t] == dense_greedy_colors(dm.dist[np.ix_(order, order)], b)[1]
 
 
 @st.composite
@@ -349,7 +383,7 @@ def covering_cases(draw):
 @settings(max_examples=80, deadline=None)
 def test_kernel_matches_dense_rule(case, short_list):
     # box sizes: 1, every distance and one above it, and past the diameter,
-    # so every size is short-circuited (N_B = n or 1) or walks near or far lists
+    # so some sizes walk no node and the rest walk near or far lists
     dm, order, seed = case
     sizes = all_box_sizes(dm)
     with pytest.MonkeyPatch.context() as mp:
@@ -393,8 +427,8 @@ def test_each_step_matches_dense_rule(n, extra, graph_seed, metric, master_seed,
             mp.setattr(covering, "_WORD_NODES", limit)
             mp.setattr(covering, "_TRIAL_BLOCK", 2)
             mp.setattr(covering, "_SHORT_LIST", short_list)
-            kinds = {type(entry) for entry in covering._plan(dm, sizes, trials)} - {int}
-            assert kinds <= ({np.ndarray} if n <= limit else {covering._SideLists})
+            kinds = {type(entry.step) for entry in covering._plan(dm, sizes, trials)}
+            assert kinds == ({np.ndarray} if n <= limit else {covering._SideLists})
             by_step.append(bd.covering_counts(dm, sizes, trials, master_seed))
     assert np.array_equal(by_step[0], by_step[1])
     for t in range(trials):
