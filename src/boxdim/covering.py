@@ -46,8 +46,9 @@ logger = logging.getLogger(__name__)
 
 BRUTE_FORCE_MAX_NODES = 12
 
-# distance cells compared or sorted at once (the sort's int64 indices take 8 MB)
-_CHUNK_CELLS = 1 << 20
+# distance cells compared or sorted at once (the sort's int64 indices take 2 MB,
+# beside the distances and the sorted node matrix)
+_CHUNK_CELLS = 1 << 18
 # side lists longer than this are tallied with numpy; shorter ones are
 # scanned in Python, where a numpy call costs more than the scan (a sweep
 # of 32 to 160 on both benchmark graphs showed no clearly faster limit)
@@ -107,7 +108,8 @@ class _SideLists:
     """Each node's neighbours on the smaller side of one box size's threshold.
 
     Row u of ``nearest``, shared by every size, lists all nodes by ascending
-    distance from u, u first; u's list ``nearest.reshape(-1)[lo[u]:hi[u]]``
+    distance from u, u first (when no size walks a node, every list is empty
+    and ``nearest`` has no columns); u's list ``nearest.reshape(-1)[lo[u]:hi[u]]``
     holds the v != u with d(u, v) < box_size when ``near``, else the rest of
     the row. Which entries come before u depends on the trial's order, and
     the pass tells them apart by their colors.
@@ -136,30 +138,36 @@ def _plan(dm: DistanceMatrix, sizes: Sequence[int], trials: int = 0) -> list[_Si
     The far-set words serve when the ``trials`` of a covering call run in
     lockstep, on graphs of at most ``_WORD_NODES`` nodes; the side lists
     otherwise. ``dm.dist`` is read a block of rows at a time, so the only
-    n x n array allocated is the sorted rows.
+    n x n array allocated is the sorted rows, and only when some size walks
+    a node: otherwise every list is empty.
     """
     dist = dm.dist
     n = dm.n
     block_rows = max(1, _CHUNK_CELLS // max(n, 1))
     blocks = [(a, min(a + block_rows, n)) for a in range(0, n, block_rows)]
     lockstep = trials > 0 and n <= _WORD_NODES
+    # cut[u] counts the nodes v with d(u, v) < b, u itself included
+    cuts = [
+        np.concatenate([np.count_nonzero(dist[a:z] < b, axis=1) for a, z in blocks])
+        for b in sizes
+    ]
+    walks = [(cut > 1) & (cut < n) for cut in cuts]
     if not lockstep:
-        # a radix sort for 16-bit distances; timsort was 4 times slower on int32
-        kind = "stable" if dist.itemsize <= 2 else "quicksort"
-        nearest = np.empty((n, n), dtype=np.min_scalar_type(n - 1))
-        for a, z in blocks:
-            nearest[a:z] = np.argsort(dist[a:z], axis=1, kind=kind)
-        # a row's own node leads it, alone at distance 0, unless another is at 0
-        # too; then the row's second node is at 0 whatever the sort's tie order
-        if n > 1 and not (dist[np.arange(n), nearest[:, 1]] > 0).all():
-            raise ValueError("an off-diagonal distance is 0; covering needs positive ones")
+        sort = any(walk.any() for walk in walks)
+        nearest = np.empty((n, n if sort else 0), dtype=np.min_scalar_type(n - 1))
+        if sort:
+            # a radix sort for 8- and 16-bit distances; timsort was 4 times slower on int32
+            kind = "stable" if dist.itemsize <= 2 else "quicksort"
+            for a, z in blocks:
+                nearest[a:z] = np.argsort(dist[a:z], axis=1, kind=kind)
+            # a row's own node leads it, alone at distance 0, unless another is at 0
+            # too; then the row's second node is at 0 whatever the sort's tie order
+            if n > 1 and not (dist[np.arange(n), nearest[:, 1]] > 0).all():
+                raise ValueError("an off-diagonal distance is 0; covering needs positive ones")
         row = np.arange(0, n * n, n)
         after_self, row_end = (row + 1).tolist(), (row + n).tolist()
     plan: list[_SizePlan] = []
-    for b in sizes:
-        # cut[u] counts the nodes v with d(u, v) < b, u itself included
-        cut = np.concatenate([np.count_nonzero(dist[a:z] < b, axis=1) for a, z in blocks])
-        walk = (cut > 1) & (cut < n)
+    for b, cut, walk in zip(sizes, cuts, walks):
         alone = int(np.count_nonzero(cut == 1))
         if lockstep:
             step = _far_words(dist, b)
@@ -282,6 +290,24 @@ def _order(n: int, master_seed: int, trial: int) -> np.ndarray:
     return np.random.default_rng((master_seed, trial)).permutation(n)
 
 
+# the last lockstep block of orders drawn, keyed by (n, master_seed, first,
+# stop): compare colors the same trials of one graph under both metrics
+_last_orders: tuple[tuple[int, int, int, int], np.ndarray] | None = None
+
+
+def _order_block(n: int, master_seed: int, first: int, stop: int) -> np.ndarray:
+    """The node orders of trials ``first`` to ``stop - 1``, one row each (n <= 64)."""
+    global _last_orders
+    key = (n, master_seed, first, stop)
+    if _last_orders is None or _last_orders[0] != key:
+        orders = np.empty((stop - first, n), dtype=np.uint8)
+        for t in range(first, stop):
+            orders[t - first] = _order(n, master_seed, t)
+        orders.setflags(write=False)
+        _last_orders = key, orders
+    return _last_orders[1]
+
+
 def _trial_counts(plan: list[_SizePlan], n: int, master_seed: int, trial: int) -> list[int]:
     """Each size's count of boxes that its walked nodes take in trial ``trial``."""
     order = _order(n, master_seed, trial)
@@ -332,9 +358,7 @@ def covering_counts(
     if n <= _WORD_NODES:
         for first in range(0, trials, _TRIAL_BLOCK):
             stop = min(first + _TRIAL_BLOCK, trials)
-            orders = np.empty((stop - first, n), dtype=np.uint8)
-            for t in range(first, stop):
-                orders[t - first] = _order(n, master_seed, t)
+            orders = _order_block(n, master_seed, first, stop)
             for row, entry in zip(counts, plan):
                 # every trial walks the same number of nodes, each in its own order
                 walked = orders[entry.walk[orders]].reshape(stop - first, -1)

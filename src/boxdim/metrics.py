@@ -18,9 +18,10 @@ minimum of itself and its neighbours' rows plus the arc weight. A round with
 few pushes the cells that fell in the last round along their arcs, so
 long-diameter graphs do not pay a matrix pass per round (the direction switch
 of Beamer et al., SC 2012). The rounds stop when one changes nothing. The
-matrix is held in the narrowest of int16, int32 and int64 that provably holds
-every value the kernel forms (see ``_matrix_dtype``): int16 for every hop
-matrix under ``MAX_CELLS``.
+matrix is held in the narrowest of uint8, int16, int32 and int64 that provably
+holds every value the kernel forms, a bound set by one breadth-first search
+from node 0 (see ``_matrix_dtype``): uint8 for hops on at most 254 nodes, or
+whenever node 0 lies at most 126 hops from every node.
 """
 from __future__ import annotations
 
@@ -37,8 +38,8 @@ logger = logging.getLogger(__name__)
 HOP = "hop"
 REPULSION = "repulsion"
 
-# all_pairs refuses larger matrices: 2 GB as the int16 of hops, and up to 8 GB
-# as repulsion's int32 or int64, plus a 1 GB mask of the cells that fell
+# all_pairs refuses larger matrices: 1 GB as the uint8 of short-eccentricity
+# hops, 2 GB as int16, and up to 8 GB as repulsion's int32 or int64
 MAX_CELLS = 10**9
 
 # A round pushes the cells that fell in the last round while their arcs number
@@ -71,8 +72,8 @@ class DistanceMatrix:
     """Symmetric all-pairs distances under one metric, plus the diameter.
 
     ``dist`` is a read-only (n, n) array of exact integers, in the narrowest
-    of int16, int32 and int64 that holds the kernel's sums (int16 for hops
-    under ``MAX_CELLS``); widen it before arithmetic that could pass that type.
+    of uint8, int16, int32 and int64 that holds the kernel's sums (see
+    ``_matrix_dtype``); widen it before arithmetic that could pass that type.
     For the repulsion metric the diameter is the largest smallest-force path.
     """
 
@@ -122,17 +123,36 @@ def _arc_slots(indptr, u) -> tuple[np.ndarray, np.ndarray]:
     return slot, deg
 
 
-def _matrix_dtype(n: int, wmax: int) -> np.dtype:
-    """The first of int16, int32 and int64 that holds ``n * wmax + 1``.
+def _eccentricity(indptr, indices) -> int:
+    """Hops from node 0 to the node farthest from it, by a breadth-first
+    search over the CSR arrays, a whole frontier at a time."""
+    seen = np.zeros(indptr.size - 1, dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=indptr.dtype)
+    ecc = -1
+    while frontier.size:
+        ecc += 1
+        slot, _ = _arc_slots(indptr, frontier)
+        frontier = np.unique(indices[slot])
+        frontier = frontier[~seen[frontier]]
+        seen[frontier] = True
+    return ecc
 
-    A shortest path has at most n - 1 arcs, so ``(n - 1) * wmax + 1`` marks a
-    cell unreached: every cell stays at or below it, and every cell plus an
-    arc weight at or below ``n * wmax + 1``.
+
+def _matrix_dtype(top: int) -> np.dtype:
+    """The first of uint8, int16, int32 and int64 that holds ``top``.
+
+    ``_repulsion_matrix`` passes ``(hops + 1) * wmax + 1``, where ``hops`` is
+    the smaller of ``n - 1`` and ``2 * ecc``, ecc being the eccentricity of
+    node 0: both bound the hop diameter. Every shortest path is no heavier
+    than a fewest-hop path, of at most ``hops`` arcs; so ``hops * wmax + 1``
+    marks a cell unreached, every cell stays at or below it, and every cell
+    plus an arc weight at or below ``top``.
     """
-    for dtype in (np.int16, np.int32, np.int64):
-        if n * wmax + 1 <= np.iinfo(dtype).max:
+    for dtype in (np.uint8, np.int16, np.int32, np.int64):
+        if top <= np.iinfo(dtype).max:
             return np.dtype(dtype)
-    raise ValueError(f"path sums up to {n * wmax + 1} would overflow int64")
+    raise ValueError(f"path sums up to {top} would overflow int64")
 
 
 def _repulsion_matrix(indptr, indices, weights) -> tuple[np.ndarray, int, int]:
@@ -147,11 +167,11 @@ def _repulsion_matrix(indptr, indices, weights) -> tuple[np.ndarray, int, int]:
     n = indptr.size - 1
     degree = np.diff(indptr)
     wmax = int(weights.max(initial=0))
-    weights = weights.astype(_matrix_dtype(n, wmax))
+    unreached = min(n - 1, 2 * _eccentricity(indptr, indices)) * wmax + 1
+    weights = weights.astype(_matrix_dtype(unreached + wmax))
     groups = _degree_groups(indptr, indices, weights)
-    mat = np.full((n, n), (n - 1) * wmax + 1, dtype=weights.dtype)
+    mat = np.full((n, n), unreached, dtype=weights.dtype)
     np.fill_diagonal(mat, 0)
-    fell = np.zeros((n, n), dtype=bool)
     # the cells that fell in the last round, as flat indices while they are few
     keys: np.ndarray | None = np.arange(n) * (n + 1)
     cost = indices.size  # arcs to push from those cells
@@ -163,8 +183,7 @@ def _repulsion_matrix(indptr, indices, weights) -> tuple[np.ndarray, int, int]:
             cost = int(degree[keys // n].sum())
         else:
             pulled += 1
-            cost = _pull_round(groups, mat, fell, degree)
-            keys = np.flatnonzero(fell) if cost * _PUSH_CELLS < n * n else None
+            cost, keys = _pull_round(groups, mat, degree)
     return mat, rounds, pulled
 
 
@@ -184,14 +203,16 @@ def _push_round(indptr, indices, weights, flat, keys) -> np.ndarray:
     return key[np.diff(key, prepend=-1) != 0]
 
 
-def _pull_round(groups, mat, fell, degree) -> int:
+def _pull_round(groups, mat, degree) -> tuple[int, np.ndarray | None]:
     """Lower each row, in place, to its neighbours' rows plus the arc weight.
 
-    Marks the cells that fell in ``fell`` and returns how many arcs leave them.
+    Returns how many arcs leave the cells that fell, and those cells as flat
+    indices while their arcs number fewer than ``n * n / _PUSH_CELLS``, else None.
     """
     n = mat.shape[0]
     step = max(1, _PULL_CELLS // n)
     cost = 0
+    fell: list[np.ndarray] | None = []
     for nodes, nbrs, wts in groups:
         for a in range(0, nodes.size, step):
             rows = nodes[a : a + step]
@@ -199,10 +220,14 @@ def _pull_round(groups, mat, fell, degree) -> int:
             for j in range(nbrs.shape[1]):
                 np.minimum(low, mat[nbrs[a : a + step, j]] + wts[a : a + step, j, None], out=low)
             down = low < mat[rows]
-            fell[rows] = down
             mat[rows] = low
             cost += int(np.count_nonzero(down, axis=1) @ degree[rows])
-    return cost
+            if fell is not None and cost * _PUSH_CELLS < n * n:
+                i, j = np.nonzero(down)
+                fell.append(rows[i] * n + j)
+            else:
+                fell = None
+    return cost, None if fell is None else np.concatenate(fell, dtype=np.int64)
 
 
 def _resolve(g: Graph | WeightedGraph, metric: str | None):

@@ -1,3 +1,4 @@
+import io
 import json
 import logging
 import os
@@ -10,10 +11,10 @@ import numpy as np
 import pytest
 
 import boxdim as bd
-from boxdim import cli, dimension, graphs, metrics
+from boxdim import cli, covering, dimension, graphs, metrics
 from boxdim.cli import main, read_series_csv, write_series_csv
 
-from conftest import die_on_trial, time_limit
+from conftest import die_on_trial, floyd_warshall, graph_weighted_edges, time_limit
 
 
 def run_cli(args, capsys):
@@ -285,6 +286,29 @@ class TestDim:
         comp = bd.largest_component(bd.read_edge_list(karate_file))
         assert dump.read_bytes() == matrix_rows(bd.all_pairs(comp, bd.HOP))
 
+    @pytest.mark.parametrize("method, dtype", [("hop", np.uint8), ("repulsion", np.int16)])
+    def test_dump_matrix_matches_floyd_warshall(self, karate_file, tmp_path, capsys, method, dtype):
+        # the narrow matrix is written as the exact distances, in the bytes
+        # of an int64 matrix written with %d
+        dump = tmp_path / "matrix.csv"
+        code, _, _ = run_cli(
+            [
+                "dim", "--input", str(karate_file), "--method", method,
+                "--trials", "3", "--csv", str(tmp_path / "s.csv"),
+                "--json", str(tmp_path / "s.json"), "--threads", "1",
+                "--dump-matrix", str(dump),
+            ],
+            capsys,
+        )
+        assert code == 0
+        comp = bd.largest_component(bd.read_edge_list(karate_file))
+        arg = bd.edge_repulsive_force(comp) if method == "repulsion" else comp
+        assert bd.all_pairs(arg, method).dist.dtype == dtype
+        oracle = floyd_warshall(comp.node_count, graph_weighted_edges(comp, method))
+        expected = io.BytesIO()
+        np.savetxt(expected, np.array(oracle, dtype=np.int64), fmt="%d", delimiter=",")
+        assert dump.read_bytes() == expected.getvalue()
+
     def test_fit_range_respected(self, karate_file, tmp_path, capsys):
         js = tmp_path / "s.json"
         code, _, _ = run_cli(
@@ -352,6 +376,24 @@ class TestCompare:
             comp = bd.largest_component(bd.read_edge_list(karate_file))
             expected = bd.all_pairs(bd.edge_repulsive_force(comp), bd.REPULSION)
             assert path.read_bytes() == matrix_rows(expected)
+
+    def test_each_trial_order_drawn_once(self, karate_file, tmp_path, capsys, monkeypatch):
+        # both methods color the same trials of one graph, so the second
+        # reads the orders the first drew
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(covering, "_last_orders", None)
+        drawn = []
+        order = covering._order
+
+        def counted(n, master_seed, trial):
+            drawn.append(trial)
+            return order(n, master_seed, trial)
+
+        monkeypatch.setattr(covering, "_order", counted)
+        args = ["compare", "--input", str(karate_file), "--trials", "40", "--threads", "1"]
+        code, _, _ = run_cli(args, capsys)
+        assert code == 0
+        assert drawn == list(range(40))
 
     def test_missing_input_exit_2(self, capsys):
         code, _, stderr = run_cli(["compare", "--input", "/no/such/file.txt"], capsys)

@@ -279,8 +279,8 @@ class TestGreedyCorePaths:
         assert peak < largest / 4
 
     def test_plan_holds_one_matrix_beside_the_distances(self):
-        # every size's lists are slices of one sorted node matrix, no larger
-        # than the int16 distances, and the sort works a block of rows at a time
+        # every size's lists are slices of one sorted node matrix, and the
+        # sort works a block of rows at a time, so little else is held
         dm = bd.all_pairs(bd.generate_sierpinski(5).graph, bd.HOP)
         tracemalloc.start()
         try:
@@ -288,8 +288,34 @@ class TestGreedyCorePaths:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert any(isinstance(entry.step, covering._SideLists) for entry in plan)
-        assert peak < 1.5 * dm.dist.nbytes
+        nearest = plan[0].step.nearest
+        assert nearest.shape == (dm.n, dm.n)
+        assert peak < 1.15 * dm.n * dm.n * nearest.itemsize
+
+    def test_no_walk_sorts_no_rows(self):
+        # on a complete graph every node is isolated at size 1 and universal
+        # above it, so no size walks a node and no n x n node matrix is built
+        n = 70
+        dm = bd.all_pairs(bd.Graph.from_edges(n, combinations(range(n), 2)), bd.HOP)
+        sizes = [1, 2, 5]
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("distance rows were sorted")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "argsort", no_sort)
+            plan = covering._plan(dm, sizes, trials=4)
+        assert not any(entry.walk.any() for entry in plan)
+        assert all(entry.step.nearest.shape == (n, 0) for entry in plan)
+        counts = bd.covering_counts(dm, sizes, trials=4, master_seed=2)
+        assert counts.tolist() == [[n] * 4, [1] * 4, [1] * 4]
+        for t in range(4):
+            order = np.random.default_rng((2, t)).permutation(n)
+            dp = dm.dist[np.ix_(order, order)]
+            assert counts[:, t].tolist() == [dense_greedy_colors(dp, lb)[1] for lb in sizes]
+            for lb in sizes:
+                cov = bd.greedy_box_cover(dm, lb, order)
+                assert cov.colors[order].tolist() == dense_greedy_colors(dp, lb)[0].tolist()
 
     def test_sizes_share_one_nearest_matrix(self):
         dm = bd.all_pairs(bd.generate_sierpinski(3).graph, bd.HOP)
@@ -314,6 +340,22 @@ class TestGreedyCorePaths:
             dm = bd.DistanceMatrix(metric_kind=bd.HOP, dist=dist, diameter=int(dist.max()))
             with pytest.raises(ValueError, match="off-diagonal distance is 0"):
                 bd.covering_counts(dm, [2, 3], trials=2, master_seed=0)
+
+    def test_int32_distances_take_the_quicksort(self):
+        # two adjacent hubs of 40 leaves each on a 30-node path from node 0:
+        # a 1764 force and a 29-hop eccentricity keep the matrix in int32, so
+        # the rows are sorted unstably, and the walk must still follow the rule
+        path = [(i, i + 1) for i in range(29)]
+        leaves = [(hub, 30 + 40 * k + i) for k, hub in enumerate((10, 11)) for i in range(40)]
+        g = bd.Graph.from_edges(110, path + leaves)
+        dm = bd.all_pairs(bd.edge_repulsive_force(g), bd.REPULSION)
+        assert dm.dist.dtype == np.int32
+        sizes = bd.build_schedule(dm).values
+        counts = bd.covering_counts(dm, sizes, trials=3, master_seed=5)
+        for t in range(3):
+            order = np.random.default_rng((5, t)).permutation(dm.n)
+            dp = dm.dist[np.ix_(order, order)]
+            assert counts[:, t].tolist() == [dense_greedy_colors(dp, lb)[1] for lb in sizes]
 
     def test_karate_hop_takes_every_branch(self, karate):
         # no node walks at size 1 (every node isolated, N_B = n) or 6 (every

@@ -1,5 +1,6 @@
 import logging
 import re
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -45,11 +46,24 @@ def weighted(g: bd.Graph) -> bd.WeightedGraph:
     return bd.edge_repulsive_force(g)
 
 
-def matrix_dtype(n: int, wmax: int) -> np.dtype:
-    """The type the matrix must come in: the first of int16, int32 and int64
-    that holds n * wmax + 1, the largest sum the kernel can form."""
-    top = n * wmax + 1
-    return np.dtype(np.int16 if top < 2**15 else np.int32 if top < 2**31 else np.int64)
+def centred_path(n: int) -> bd.Graph:
+    """A path of odd n nodes with node 0 at its centre, so node 0's
+    eccentricity is half the diameter."""
+    half = n // 2
+    order = [*range(half, 0, -1), 0, *range(half + 1, n)]
+    return bd.Graph.from_edges(n, [tuple(sorted(e)) for e in zip(order, order[1:])])
+
+
+def matrix_dtype(g: bd.Graph, wmax: int) -> np.dtype:
+    """The type the matrix must come in: the first of uint8, int16, int32 and
+    int64 that holds (hops + 1) * wmax + 1, the largest sum the kernel can
+    form, where hops, the smaller of n - 1 and twice node 0's eccentricity,
+    bounds the number of arcs on a fewest-hop path."""
+    n = g.node_count
+    ecc = max(bfs_row(csr_rows(g), 0, n))
+    top = (min(n - 1, 2 * ecc) + 1) * wmax + 1
+    return next(np.dtype(t) for t in (np.uint8, np.int16, np.int32, np.int64)
+                if top <= np.iinfo(t).max)
 
 
 def kernel_all_pairs(arg: bd.Graph | bd.WeightedGraph, metric: str, setting: str):
@@ -70,7 +84,8 @@ def kernel_all_pairs(arg: bd.Graph | bd.WeightedGraph, metric: str, setting: str
         dm = bd.all_pairs(arg, metric)
     ((rounds, pulled),) = runs
     wmax = int(arg.weights.max(initial=0)) if metric == bd.REPULSION else 1
-    assert dm.dist.dtype == matrix_dtype(dm.n, wmax) and not dm.dist.flags.writeable
+    graph = arg.graph if isinstance(arg, bd.WeightedGraph) else arg
+    assert dm.dist.dtype == matrix_dtype(graph, wmax) and not dm.dist.flags.writeable
     if push_cells == 0:
         assert pulled == 0
     elif push_cells == 10**18:
@@ -294,39 +309,96 @@ def test_repulsion_kernel_matches_oracles(g, setting):
     assert dm.dist.tolist() == floyd_warshall(g.node_count, graph_weighted_edges(g, bd.REPULSION))
 
 
-def huge_forces() -> bd.WeightedGraph:
-    """A 4-node path built directly with edge forces near 2**31."""
-    g = path_graph(4)
-    force = {(0, 1): 2**31 - 1, (1, 2): 2**31 - 7, (2, 3): 3}
+def path_forces(*forces: int) -> bd.WeightedGraph:
+    """A path, from node 0 at one end, built directly with the given edge forces."""
+    g = path_graph(len(forces) + 1)
     ends = zip(g.arc_rows.tolist(), g.indices.tolist())
-    return bd.WeightedGraph(graph=g, weights=np.array([force[min(e), max(e)] for e in ends]))
+    return bd.WeightedGraph(graph=g, weights=np.array([forces[min(e)] for e in ends]))
+
+
+def hops(g: bd.Graph) -> bd.WeightedGraph:
+    """The graph with every arc weighing 1, the weights the hop metric runs on."""
+    return bd.WeightedGraph(graph=g, weights=np.ones_like(g.indices))
 
 
 @pytest.mark.parametrize(
-    "make, dtype",
+    "make, metric, dtype",
     [
-        # n * wmax + 1 = 181 * 180 + 1 = 32581, the largest star under 2**15
-        (lambda: weighted(star_graph(180)), np.int16),
-        # 182 * 181 + 1 = 32943
-        (lambda: weighted(star_graph(181)), np.int32),
-        (huge_forces, np.int64),
+        # node 0 at one end: n - 1 bounds the diameter, and the largest sum is n + 1
+        (lambda: hops(path_graph(254)), bd.HOP, np.uint8),
+        (lambda: hops(path_graph(255)), bd.HOP, np.int16),
+        # node 0 at the centre: twice its eccentricity, 252, is the diameter
+        (lambda: hops(centred_path(253)), bd.HOP, np.uint8),
+        (lambda: hops(centred_path(255)), bd.HOP, np.int16),
+        # a star from its hub (eccentricity 1) sums up to 3 * leaves + 1
+        (lambda: hops(star_graph(299)), bd.HOP, np.uint8),
+        (lambda: weighted(star_graph(84)), bd.REPULSION, np.uint8),
+        (lambda: weighted(star_graph(85)), bd.REPULSION, np.int16),
+        # 4 * 8191 + 1 = 32765; 4 * 8192 + 1 = 32769
+        (lambda: path_forces(8191, 5, 1), bd.REPULSION, np.int16),
+        (lambda: path_forces(8192, 5, 1), bd.REPULSION, np.int32),
+        (lambda: path_forces(2**31 - 1, 2**31 - 7, 3), bd.REPULSION, np.int64),
     ],
-    ids=["star 180", "star 181", "forces near 2**31"],
+    ids=[
+        "hop path 254", "hop path 255", "hop centred path 253", "hop centred path 255",
+        "hop star 299", "star 84", "star 85", "forces 8191", "forces 8192",
+        "forces near 2**31",
+    ],
 )
-def test_matrix_type_boundaries(make, dtype):
+def test_matrix_type_boundaries(make, metric, dtype):
     wg = make()
     g, n = wg.graph, wg.graph.node_count
     rows = csr_rows(g, wg.weights)
     expected = [dijkstra_row(rows, s, n) for s in range(n)]
     assert expected == floyd_warshall(n, zip(*g.edges.T.tolist(), wg.forces.tolist()))
     for setting in REPULSION_SETTINGS:
-        dm = kernel_all_pairs(wg, bd.REPULSION, setting)
+        dm = kernel_all_pairs(g if metric == bd.HOP else wg, metric, setting)
         assert dm.dist.dtype == dtype
         assert dm.dist.tolist() == expected
 
 
-def test_hop_path_129_is_int16():
-    assert bd.all_pairs(path_graph(129), bd.HOP).dist.dtype == np.int16
+def test_centred_path_reaches_twice_the_eccentricity():
+    # the hop diameter bound 2 * ecc is tight, and the kernel's largest sum
+    # 2 * 126 + 2 = 254 still fits uint8
+    dm = bd.all_pairs(centred_path(253), bd.HOP)
+    assert dm.dist.dtype == np.uint8
+    assert max(dm.dist[0]) == 126 and dm.diameter == 252
+
+
+# (rounds, pulled) of the kernel on fixed shapes under every push limit, as
+# run when a pull round still marked its fallen cells in an n x n mask
+PINNED_ROUNDS = {
+    ("path 129", bd.HOP): {"pushed": (129, 0), "mixed": (129, 41), "pulled": (129, 129)},
+    ("grid 20x20", bd.HOP): {"pushed": (39, 0), "mixed": (38, 26), "pulled": (38, 38)},
+    ("grid 20x20", bd.REPULSION): {"pushed": (41, 0), "mixed": (39, 35), "pulled": (38, 38)},
+    ("sierpinski 3", bd.HOP): {"pushed": (8, 0), "mixed": (6, 5), "pulled": (6, 6)},
+    ("sierpinski 3", bd.REPULSION): {"pushed": (9, 0), "mixed": (8, 7), "pulled": (7, 7)},
+}
+
+
+@pytest.mark.parametrize("shape, metric", list(PINNED_ROUNDS))
+def test_rounds_pinned(shape, metric):
+    g = FIXED_SHAPES[shape]()
+    w = weighted(g).weights if metric == bd.REPULSION else np.ones_like(g.indices)
+    for setting, push_cells in REPULSION_SETTINGS.items():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "_PUSH_CELLS", push_cells)
+            _, rounds, pulled = metrics._repulsion_matrix(g.indptr, g.indices, w)
+        assert (rounds, pulled) == PINNED_ROUNDS[shape, metric][setting]
+
+
+def test_all_pairs_holds_little_beside_the_matrix():
+    # no n x n mask of fallen cells: the kernel's working state stays small
+    # next to the uint8 matrix of Sierpinski level 5
+    g = bd.generate_sierpinski(5).graph
+    tracemalloc.start()
+    try:
+        dm = bd.all_pairs(g, bd.HOP)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dm.dist.dtype == np.uint8
+    assert peak < 1.5 * dm.dist.nbytes
 
 
 class TestDistinctDistances:
@@ -355,7 +427,8 @@ def connected_graphs(draw):
 def test_metric_axioms(g, metric):
     arg = bd.edge_repulsive_force(g) if metric == bd.REPULSION else g
     dm = bd.all_pairs(arg, metric)
-    d = dm.dist
+    # widened: the sums of the closure below can pass a uint8 matrix's range
+    d = dm.dist.astype(np.int64)
     n = dm.n
     assert np.array_equal(d, d.T)
     assert (np.diag(d) == 0).all()
