@@ -7,29 +7,26 @@ dual (Song et al., J. Stat. Mech. 2007, P03006). The greedy pass colors the
 nodes in a given order, each taking the smallest color not used by an earlier
 node at distance >= box_size.
 
-The dual does not depend on the order, so each covering call materialises it
-once, shared by every trial and worker. An isolated node (no other node
-closer than box_size) clashes with every node, so it is a box of its own; a
-universal node (every node closer) clashes with none, so it joins the first
-box. Neither is walked: the count is the walk's boxes plus the isolated
-nodes, and at least 1. Sizes at or below the smallest distance, or above the
-diameter, walk no node. The walk takes one of two steps, chosen by node count:
+Each covering call plans every box size once, for every trial and worker.
+An isolated node (no other node closer than box_size) is a box of its own;
+a universal node (every node closer) joins the first box. Neither is walked:
+the count is the walk's boxes plus the isolated nodes, and at least 1. The
+walk takes one of three steps:
 
 * Graphs of at most 64 nodes (``_WORD_NODES``) hold each node's far set
-  (distance >= box_size) as one 64-bit word, and each trial's boxes as one
-  word of members each. All trials are colored at once, one node position at
-  a time: a node takes, in every trial, the first box whose members miss its
-  far set. These sizes run in the calling process and never fork workers.
-* Larger graphs walk each trial on its own, over each node's list of
-  whichever side of the threshold holds fewer pairs: a slice of its distance
-  row sorted once per call. A node not yet colored holds color 0, so the
-  colored entries of a list are its earlier neighbours. On the far side a
-  node rules out their colors; on the near side (distance < box_size) a color
-  is open to it only when every member is one of them. Both give the same colors.
+  (distance >= box_size) as one 64-bit word and color every trial at once,
+  each box one word of members per trial, in the calling process.
+* On larger graphs each trial walks each node's list of whichever side of
+  the threshold holds fewer pairs. A node not yet colored holds color 0, so
+  the colored entries are its earlier neighbours: a far one rules its color
+  out; on the near side a color is open only when every member is one.
+* Where those lists would be long, reach rows replace them: row c holds,
+  for every node v, the largest distance from v to a member of color c, so
+  c is open to u exactly when its row holds less than box_size at u.
 
 Greedy coloring is order-dependent, so trials reshuffle the node order with
-independently seeded generators; results are identical for a fixed master
-seed no matter which step or how many workers run the trials.
+independently seeded generators. Every step gives the same colors, so the
+results are identical for a fixed master seed whatever the step or workers.
 """
 from __future__ import annotations
 
@@ -46,12 +43,11 @@ logger = logging.getLogger(__name__)
 
 BRUTE_FORCE_MAX_NODES = 12
 
-# distance cells compared or sorted at once (the sort's int64 indices take 2 MB,
-# beside the distances and the sorted node matrix)
+# distance cells read at once (a block's pair indices take at most 2 MB each)
 _CHUNK_CELLS = 1 << 18
-# side lists longer than this are tallied with numpy; shorter ones are
-# scanned in Python, where a numpy call costs more than the scan (a sweep
-# of 32 to 160 on both benchmark graphs showed no clearly faster limit)
+# a size whose smaller side holds more entries than this per walked node
+# colors by reach rows, else it scans its lists in Python (24 / 48 / 96 took
+# 57 / 49 / 62 ms per Sierpinski 5 hop trial, 25 / 25 / 32 on 2859-node repulsion)
 _SHORT_LIST = 48
 # graphs of at most this many nodes color their trials in lockstep, each box
 # one machine word; boxes of several words lost to the list walk from about
@@ -107,84 +103,160 @@ class TrialStatistics:
 class _SideLists:
     """Each node's neighbours on the smaller side of one box size's threshold.
 
-    Row u of ``nearest``, shared by every size, lists all nodes by ascending
-    distance from u, u first (when no size walks a node, every list is empty
-    and ``nearest`` has no columns); u's list ``nearest.reshape(-1)[lo[u]:hi[u]]``
-    holds the v != u with d(u, v) < box_size when ``near``, else the rest of
-    the row. Which entries come before u depends on the trial's order, and
-    the pass tells them apart by their colors.
+    u's list ``cols[lo[u]:hi[u]]`` is a prefix of u's row of ``cols``: the
+    v != u with d(u, v) < box_size, nearest first, when ``near``; else those
+    at box_size or beyond, farthest first. All sizes of a side share ``cols``.
     """
 
     near: bool
-    nearest: np.ndarray
+    cols: np.ndarray
     lo: list[int]
     hi: list[int]
+
+    def colors(self, order: list[int]) -> tuple[list[int], int]:
+        """Colors plus one of a greedy pass over the nodes in ``order``, and how many were used.
+
+        Color c is open to u when its tally over u's list equals its member
+        count on the near side (``members[0] = -1`` keeps the uncolored out),
+        and when no entry holds it on the far side.
+        """
+        near, lo, hi = self.near, self.lo, self.hi
+        scan = memoryview(self.cols)
+        n = len(lo)
+        colors = [0] * n
+        members = [-1] + [0] * n
+        tally = [0] * (n + 1)
+        ncolors = 0
+        for u in order:
+            s, e = lo[u], hi[u]
+            if near:
+                c = ncolors + 1  # a new color
+                for v in scan[s:e]:
+                    k = colors[v]
+                    t = tally[k] + 1
+                    tally[k] = t
+                    if t == members[k] and k < c:
+                        c = k
+                for v in scan[s:e]:
+                    tally[colors[v]] = 0
+                members[c] += 1
+            else:
+                taken = set(map(colors.__getitem__, scan[s:e]))
+                c = 1
+                while c in taken:
+                    c += 1
+            colors[u] = c
+            if c > ncolors:
+                ncolors = c
+        return colors, ncolors
+
+
+@dataclass(frozen=True, eq=False)
+class _Reach:
+    """A long-list size's pass, over reach rows: ``reach[c, v]`` is the largest
+    d(w, v) over the members w of color c + 1, so that color is open to u
+    exactly when ``reach[c, u] < box_size``. The row past the last color is
+    all zeros, so some color is always open; the rows double as they fill."""
+
+    dist: np.ndarray
+    box_size: int
+
+    def colors(self, order: list[int]) -> tuple[list[int], int]:
+        """As ``_SideLists.colors``."""
+        dist, b = self.dist, self.box_size
+        reach = np.zeros((64, dist.shape[0]), dtype=dist.dtype)
+        colors = [0] * dist.shape[0]
+        ncolors = 0
+        for u in order:
+            c = int((reach[: ncolors + 1, u] < b).argmax())
+            row = reach[c]
+            np.maximum(row, dist[u], out=row)
+            colors[u] = c + 1
+            if c == ncolors:
+                ncolors += 1
+                if ncolors == len(reach):
+                    reach = np.pad(reach, ((0, ncolors), (0, 0)))
+        return colors, ncolors
 
 
 @dataclass(frozen=True, eq=False)
 class _SizePlan:
     """One box size's pass: ``walk`` masks the nodes a trial colors, ``alone``
     counts the isolated nodes, and ``step`` is the far-set words (see
-    ``_far_words``) in lockstep, else the side lists."""
+    ``_far_words``) in lockstep, else the reach step or the side lists."""
 
     walk: np.ndarray
     alone: int
-    step: np.ndarray | _SideLists
+    step: np.ndarray | _Reach | _SideLists
 
 
 def _plan(dm: DistanceMatrix, sizes: Sequence[int], trials: int = 0) -> list[_SizePlan]:
-    """For each box size, the nodes its pass walks and what the pass reads.
-
-    The far-set words serve when the ``trials`` of a covering call run in
-    lockstep, on graphs of at most ``_WORD_NODES`` nodes; the side lists
-    otherwise. ``dm.dist`` is read a block of rows at a time, so the only
-    n x n array allocated is the sorted rows, and only when some size walks
-    a node: otherwise every list is empty.
-    """
-    dist = dm.dist
-    n = dm.n
+    """For each box size, the nodes its pass walks and what the pass reads:
+    far-set words for the lockstep ``trials`` of a graph of at most
+    ``_WORD_NODES`` nodes, else reach rows where the smaller side holds more
+    than ``_SHORT_LIST`` entries per walked node, else side lists."""
+    dist, n = dm.dist, dm.n
     block_rows = max(1, _CHUNK_CELLS // max(n, 1))
     blocks = [(a, min(a + block_rows, n)) for a in range(0, n, block_rows)]
     lockstep = trials > 0 and n <= _WORD_NODES
-    # cut[u] counts the nodes v with d(u, v) < b, u itself included
-    cuts = [
-        np.concatenate([np.count_nonzero(dist[a:z] < b, axis=1) for a, z in blocks])
-        for b in sizes
-    ]
-    walks = [(cut > 1) & (cut < n) for cut in cuts]
-    if not lockstep:
-        sort = any(walk.any() for walk in walks)
-        nearest = np.empty((n, n if sort else 0), dtype=np.min_scalar_type(n - 1))
-        if sort:
-            # a radix sort for 8- and 16-bit distances; timsort was 4 times slower on int32
-            kind = "stable" if dist.itemsize <= 2 else "quicksort"
-            for a, z in blocks:
-                nearest[a:z] = np.argsort(dist[a:z], axis=1, kind=kind)
-            # a row's own node leads it, alone at distance 0, unless another is at 0
-            # too; then the row's second node is at 0 whatever the sort's tie order
-            if n > 1 and not (dist[np.arange(n), nearest[:, 1]] > 0).all():
-                raise ValueError("an off-diagonal distance is 0; covering needs positive ones")
-        row = np.arange(0, n * n, n)
-        after_self, row_end = (row + 1).tolist(), (row + n).tolist()
+    # cuts[i, u] counts the nodes v with d(u, v) < sizes[i], u itself included
+    cuts = np.empty((len(sizes), n), dtype=np.int64)
+    zeros = 0
+    for a, z in blocks:
+        block = dist[a:z]
+        zeros += np.count_nonzero(block == 0)
+        for cut, b in zip(cuts, sizes):
+            # the narrowest sum that holds n: 3 times faster than count_nonzero's int64
+            cut[a:z] = (block < b).sum(axis=1, dtype=np.min_scalar_type(n))
+    if zeros > n:
+        raise ValueError("an off-diagonal distance is 0; covering needs positive ones")
+    walks = (cuts > 1) & (cuts < n)
+    near_pairs = cuts.sum(axis=1) - n  # ordered pairs u != v
+    near = 2 * near_pairs <= n * (n - 1)
+    entries = np.where(near, near_pairs, n * (n - 1) - near_pairs)
+    reach = entries > _SHORT_LIST * walks.sum(axis=1)
+    # a side's lists are prefixes of the rows of the size with the most entries
+    # on it: the largest near-side size, or the smallest far-side one
+    rows = {}
+    for side in (True, False):
+        listed = [i for i in range(len(sizes)) if near[i] == side and not reach[i]]
+        if listed and not lockstep:
+            i = max(listed, key=entries.__getitem__)
+            rows[side] = _sorted_rows(dist, blocks, cuts[i], sizes[i], side)
     plan: list[_SizePlan] = []
-    for b, cut, walk in zip(sizes, cuts, walks):
+    for i, (b, cut, walk) in enumerate(zip(sizes, cuts, walks)):
         alone = int(np.count_nonzero(cut == 1))
         if lockstep:
-            step = _far_words(dist, b)
-            what = f"bitset, {trials} trials in lockstep"
+            step, what = _far_words(dist, b), f"bitset, {trials} trials in lockstep"
+        elif reach[i]:
+            step, what = _Reach(dist, b), f"reach, {entries[i]} list entries"
         else:
-            near_pairs = int(cut.sum()) - n  # ordered pairs u != v
-            near = 2 * near_pairs <= n * (n - 1)
-            split = (row + cut).tolist()
-            lo, hi = (after_self, split) if near else (split, row_end)
-            step = _SideLists(near, nearest, lo, hi)
-            entries = near_pairs if near else n * (n - 1) - near_pairs
-            what = f"{'near' if near else 'far'} side, {entries} list entries"
+            cols, start, lo = rows[near[i]]
+            hi = (start[:-1] + (cut - 1 if near[i] else n - cut)).tolist()
+            step = _SideLists(bool(near[i]), cols, lo, hi)
+            what = f"{'near' if near[i] else 'far'} side, {entries[i]} list entries"
         logger.debug(
             "box size %d: %s, %d nodes walked, %d isolated", b, what, np.count_nonzero(walk), alone
         )
         plan.append(_SizePlan(walk, alone, step))
     return plan
+
+
+def _sorted_rows(dist, blocks, cut, box_size, near) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Each node's list at ``box_size`` (see ``_SideLists``) as one ragged array,
+    where each row starts and ends, and the starts as a list."""
+    n = dist.shape[0]
+    start = np.concatenate(([0], np.cumsum(cut - 1 if near else n - cut)))
+    cols = np.empty(int(start[-1]), dtype=np.min_scalar_type(n - 1))
+    if cols.size:
+        for a, z in blocks:
+            block = dist[a:z]
+            # a flat nonzero is 9 times faster than a 2-d one
+            at = np.flatnonzero((block > 0) & (block < box_size) if near else block >= box_size)
+            r, v = np.divmod(at, n)
+            d = block.ravel()[at].astype(np.int64)
+            cols[start[a] : start[z]] = v[np.lexsort((d if near else -d, r))]
+    return cols, start, start[:-1].tolist()
 
 
 def _far_words(dist: np.ndarray, box_size: int) -> np.ndarray:
@@ -217,58 +289,6 @@ def _lockstep_counts(far: np.ndarray, orders: np.ndarray) -> np.ndarray:
     return np.count_nonzero(members, axis=1)
 
 
-def _greedy_colors(lists: _SideLists, order: list[int]) -> tuple[list[int], int]:
-    """Colors plus one of a greedy pass over the nodes in ``order``, and how many were used.
-
-    A node not yet colored holds 0, so the colored entries of u's list are
-    exactly its earlier neighbours. Color c is open to u when its tally over
-    u's list equals ``target[c]``: the members of c on the near side (every
-    member is an earlier near neighbour), and 0 on the far side (none is an
-    earlier far neighbour). ``members[0] = -1`` keeps the uncolored out.
-    """
-    near, lo, hi = lists.near, lists.lo, lists.hi
-    cols = lists.nearest.reshape(-1)
-    scan = memoryview(cols)
-    n = lists.nearest.shape[0]
-    colors = [0] * n
-    # numpy copies of the state, for the lists long enough for the numpy tally
-    colors_np = np.zeros(n, dtype=np.int64)
-    target = np.zeros(n + 1, dtype=np.int64)
-    members = [0] * (n + 1)
-    members[0] = -1
-    tally = [0] * (n + 1)
-    ncolors = 0
-    for u in order:
-        s, e = lo[u], hi[u]
-        c = ncolors + 1  # a new color
-        if e - s > _SHORT_LIST:
-            # the new color's bin is 0 on its target 0, so argmax always finds an open color
-            open_ = np.bincount(colors_np[cols[s:e]], minlength=c + 1)[1:] == target[1 : c + 1]
-            c = int(open_.argmax()) + 1
-        elif near:
-            for v in scan[s:e]:
-                k = colors[v]
-                t = tally[k] + 1
-                tally[k] = t
-                if t == members[k] and k < c:
-                    c = k
-            for v in scan[s:e]:
-                tally[colors[v]] = 0
-        else:
-            taken = set(map(colors.__getitem__, scan[s:e]))
-            c = 1
-            while c in taken:
-                c += 1
-        colors[u] = c
-        colors_np[u] = c
-        if near:
-            members[c] += 1
-            target[c] += 1
-        if c > ncolors:
-            ncolors = c
-    return colors, ncolors
-
-
 def greedy_box_cover(dm: DistanceMatrix, box_size, order: Sequence[int]) -> BoxCovering:
     """Run one greedy covering pass over the nodes in the given order."""
     if box_size <= 0:
@@ -279,7 +299,7 @@ def greedy_box_cover(dm: DistanceMatrix, box_size, order: Sequence[int]) -> BoxC
         raise ValueError("order must be a permutation of 0..n-1")
     # every node walks, so that each gets its color
     [entry] = _plan(dm, [box_size])
-    colors, ncolors = _greedy_colors(entry.step, order.tolist())
+    colors, ncolors = entry.step.colors(order.tolist())
     colors = np.asarray(colors, dtype=np.int64) - 1
     colors.setflags(write=False)
     return BoxCovering(box_size=box_size, colors=colors, box_count=ncolors)
@@ -311,7 +331,7 @@ def _order_block(n: int, master_seed: int, first: int, stop: int) -> np.ndarray:
 def _trial_counts(plan: list[_SizePlan], n: int, master_seed: int, trial: int) -> list[int]:
     """Each size's count of boxes that its walked nodes take in trial ``trial``."""
     order = _order(n, master_seed, trial)
-    return [_greedy_colors(entry.step, order[entry.walk[order]].tolist())[1] for entry in plan]
+    return [entry.step.colors(order[entry.walk[order]].tolist())[1] for entry in plan]
 
 
 # a fork worker's (plan, n, master_seed), inherited from the parent at fork
@@ -342,8 +362,8 @@ def covering_counts(
     the output is identical for any worker count. On graphs of at most 64
     nodes every trial is colored in lockstep, a block of trials at a time,
     in this process: ``workers`` starts no process there, nor when no size
-    walks a node. Otherwise each trial walks the side lists, on ``workers``
-    forked processes that share the lists built here; a worker that dies
+    walks a node. Otherwise each trial walks the plan, on ``workers``
+    forked processes that share the plan built here; a worker that dies
     raises ``concurrent.futures.process.BrokenProcessPool``.
     """
     if trials < 1:

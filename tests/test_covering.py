@@ -21,8 +21,8 @@ from conftest import (
     trial_stats,
 )
 
-# list lengths that send every side list through the numpy
-# tally, or every one through the Python scan
+# list lengths per walked node that send every size with a list entry to the
+# reach rows, or every one to the side lists
 SHORT_LIST_LIMITS = (0, 10**9)
 # node counts up to which covering_counts colors in lockstep: never (every
 # size walks the lists), or on every graph that fits one word
@@ -35,6 +35,14 @@ def all_box_sizes(dm):
     universal) and the rest walk near or far lists."""
     distances = bd.distinct_distances(dm).tolist()
     return sorted({1, dm.diameter + 5, *distances, *(d + 1 for d in distances)})
+
+
+def assert_counts_follow_rule(dm, sizes, counts, master_seed):
+    """Each trial's counts are those of the dense rule on the trial's order."""
+    for t in range(counts.shape[1]):
+        order = np.random.default_rng((master_seed, t)).permutation(dm.n)
+        dp = dm.dist[np.ix_(order, order)]
+        assert counts[:, t].tolist() == [dense_greedy_colors(dp, lb)[1] for lb in sizes]
 
 
 def all_partitions(items):
@@ -238,7 +246,7 @@ class TestRunTrials:
 
 class TestGreedyCorePaths:
     def test_vectorized_matches_reference(self, karate):
-        # the kernel, through its numpy and its Python list scans, vs a
+        # the kernel, through its reach rows and its Python list scans, vs a
         # direct python transcription of the rule on the permuted matrix
         dm = bd.all_pairs(karate, bd.HOP)
         rng = np.random.default_rng(0)
@@ -262,13 +270,11 @@ class TestGreedyCorePaths:
                 assert cov.box_count == max(ref_colors) + 1
 
     def test_trial_allocates_nothing_per_list_entry(self):
-        # a trial reads the side lists as built: what it allocates grows
-        # with the node count, never with the list lengths
+        # a trial reads the side lists and the distance rows as built: its
+        # reach rows grow with the colors, never with the list lengths
         dm = bd.all_pairs(bd.generate_sierpinski(4).graph, bd.HOP)
         plan = covering._plan(dm, range(2, dm.diameter + 1))
-        lists = [entry.step for entry in plan]
-        assert lists
-        largest = max(sum(entry.hi) - sum(entry.lo) for entry in lists) * lists[0].nearest.itemsize
+        assert {type(entry.step) for entry in plan} == {covering._SideLists, covering._Reach}
         covering._trial_counts(plan, dm.n, 0, 0)  # warm-up
         tracemalloc.start()
         try:
@@ -276,11 +282,12 @@ class TestGreedyCorePaths:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < largest / 4
+        assert peak < dm.dist.nbytes / 4
 
     def test_plan_holds_one_matrix_beside_the_distances(self):
-        # every size's lists are slices of one sorted node matrix, and the
-        # sort works a block of rows at a time, so little else is held
+        # the long-list sizes read the distances themselves, the short lists
+        # hold at most _SHORT_LIST entries per walked node, and the matrix is
+        # read a block of rows at a time, so little is held beside it
         dm = bd.all_pairs(bd.generate_sierpinski(5).graph, bd.HOP)
         tracemalloc.start()
         try:
@@ -288,13 +295,13 @@ class TestGreedyCorePaths:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        nearest = plan[0].step.nearest
-        assert nearest.shape == (dm.n, dm.n)
-        assert peak < 1.15 * dm.n * dm.n * nearest.itemsize
+        assert {type(entry.step) for entry in plan} == {covering._SideLists, covering._Reach}
+        assert peak < dm.dist.nbytes / 4
 
     def test_no_walk_sorts_no_rows(self):
         # on a complete graph every node is isolated at size 1 and universal
-        # above it, so no size walks a node and no n x n node matrix is built
+        # above it, so no size walks a node: every list is empty, no pair is
+        # gathered or sorted, and no size takes the reach rows
         n = 70
         dm = bd.all_pairs(bd.Graph.from_edges(n, combinations(range(n), 2)), bd.HOP)
         sizes = [1, 2, 5]
@@ -303,10 +310,12 @@ class TestGreedyCorePaths:
             raise AssertionError("distance rows were sorted")
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(np, "argsort", no_sort)
+            mp.setattr(np, "flatnonzero", no_sort)
+            mp.setattr(np, "lexsort", no_sort)
             plan = covering._plan(dm, sizes, trials=4)
         assert not any(entry.walk.any() for entry in plan)
-        assert all(entry.step.nearest.shape == (n, 0) for entry in plan)
+        assert all(type(entry.step) is covering._SideLists for entry in plan)
+        assert all(entry.step.cols.size == 0 for entry in plan)
         counts = bd.covering_counts(dm, sizes, trials=4, master_seed=2)
         assert counts.tolist() == [[n] * 4, [1] * 4, [1] * 4]
         for t in range(4):
@@ -318,17 +327,18 @@ class TestGreedyCorePaths:
                 assert cov.colors[order].tolist() == dense_greedy_colors(dp, lb)[0].tolist()
 
     def test_sizes_share_one_nearest_matrix(self):
+        # near sizes 2-3 slice one array and far sizes 6-7 another (4-5 take reach)
         dm = bd.all_pairs(bd.generate_sierpinski(3).graph, bd.HOP)
         plan = covering._plan(dm, range(2, dm.diameter + 1))
-        lists = [entry.step for entry in plan]
-        assert len(lists) > 1 and {entry.near for entry in lists} == {True, False}
-        assert all(entry.nearest is lists[0].nearest for entry in lists)
+        lists = [entry.step for entry in plan if type(entry.step) is covering._SideLists]
+        for near in (True, False):
+            side = [entry.cols for entry in lists if entry.near == near]
+            assert len(side) == 2 and all(cols is side[0] for cols in side)
+        assert lists[0].cols is not lists[-1].cols
 
     def test_off_diagonal_zero_refused(self):
-        # no all_pairs matrix holds one; a node sharing another's place need
-        # not lead its own sorted row. 32- and 64-bit rows are sorted
-        # unstably, and on the 600-node graph both nodes of the pair can still
-        # lead their own rows
+        # no all_pairs matrix holds one; covering refuses it in every
+        # distance type, before any size's step is chosen
         for n, extra, (u, v), dtype in [
             (70, 30, (10, 20), np.int16),
             (600, 300, (436, 379), np.int32),
@@ -341,21 +351,42 @@ class TestGreedyCorePaths:
             with pytest.raises(ValueError, match="off-diagonal distance is 0"):
                 bd.covering_counts(dm, [2, 3], trials=2, master_seed=0)
 
-    def test_int32_distances_take_the_quicksort(self):
-        # two adjacent hubs of 40 leaves each on a 30-node path from node 0:
-        # a 1764 force and a 29-hop eccentricity keep the matrix in int32, so
-        # the rows are sorted unstably, and the walk must still follow the rule
+    def test_int16_and_int32_distances_match_dense_rule(self):
+        # repulsion on a random graph fits int16; two adjacent hubs of 40
+        # leaves each on a 30-node path from node 0 (a 1764 force and a 29-hop
+        # eccentricity) keep it in int32. Each is walked by the reach rows
+        # alone, then by the lists alone, and both follow the rule
         path = [(i, i + 1) for i in range(29)]
         leaves = [(hub, 30 + 40 * k + i) for k, hub in enumerate((10, 11)) for i in range(40)]
-        g = bd.Graph.from_edges(110, path + leaves)
-        dm = bd.all_pairs(bd.edge_repulsive_force(g), bd.REPULSION)
-        assert dm.dist.dtype == np.int32
-        sizes = bd.build_schedule(dm).values
-        counts = bd.covering_counts(dm, sizes, trials=3, master_seed=5)
-        for t in range(3):
-            order = np.random.default_rng((5, t)).permutation(dm.n)
-            dp = dm.dist[np.ix_(order, order)]
-            assert counts[:, t].tolist() == [dense_greedy_colors(dp, lb)[1] for lb in sizes]
+        graphs = [random_connected_graph(120, 60, seed=11), bd.Graph.from_edges(110, path + leaves)]
+        for g, dtype in zip(graphs, (np.int16, np.int32)):
+            dm = bd.all_pairs(bd.edge_repulsive_force(g), bd.REPULSION)
+            assert dm.dist.dtype == dtype
+            sizes = bd.build_schedule(dm).values
+            for limit, step in zip(SHORT_LIST_LIMITS, (covering._Reach, covering._SideLists)):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(covering, "_SHORT_LIST", limit)
+                    plan = covering._plan(dm, sizes)
+                    counts = bd.covering_counts(dm, sizes, trials=3, master_seed=5)
+                assert {type(entry.step) for entry in plan if entry.walk.any()} == {step}
+                assert_counts_follow_rule(dm, sizes, counts, 5)
+
+    def test_one_call_mixes_every_list_step(self):
+        # Sierpinski 3 under hop at the default limit: near lists at sizes
+        # 2-3, reach rows at 4-5, far lists at 6-7; no node walks at 1 or 8
+        dm = bd.all_pairs(bd.generate_sierpinski(3).graph, bd.HOP)
+        sizes = list(range(1, dm.diameter + 2))
+        plan = covering._plan(dm, sizes, trials=4)
+        kinds = ["reach" if type(e.step) is covering._Reach else e.step.near for e in plan]
+        assert kinds == [True, True, True, "reach", "reach", False, False, False]
+        counts = bd.covering_counts(dm, sizes, trials=4, master_seed=3)
+        assert_counts_follow_rule(dm, sizes, counts, 3)
+        order = np.random.default_rng(3).permutation(dm.n)
+        dp = dm.dist[np.ix_(order, order)]
+        for lb in sizes:
+            cov = bd.greedy_box_cover(dm, lb, order)
+            colors, count = dense_greedy_colors(dp, lb)
+            assert cov.colors[order].tolist() == colors.tolist() and cov.box_count == count
 
     def test_karate_hop_takes_every_branch(self, karate):
         # no node walks at size 1 (every node isolated, N_B = n) or 6 (every
@@ -373,19 +404,23 @@ class TestGreedyCorePaths:
             assert counts[:, t].tolist() == expected
 
     def test_one_debug_line_per_size_not_per_trial(self, karate, caplog):
-        # karate's 34 nodes take the bitset step; Sierpinski 3's 256 the lists
+        # karate's 34 nodes take the bitset step; Sierpinski 3's 256 the
+        # near lists, the reach rows and the far lists
         kar = bd.all_pairs(karate, bd.HOP)
         sier = bd.all_pairs(bd.generate_sierpinski(3).graph, bd.HOP)
         with caplog.at_level(logging.DEBUG, logger="boxdim.covering"):
             bd.covering_counts(kar, [1, 2, 4, 6], trials=5, master_seed=0)
-            bd.covering_counts(sier, [2, 7], trials=5, master_seed=0)
+            bd.covering_counts(sier, [2, 4, 7], trials=5, master_seed=0)
         lines = [r.getMessage() for r in caplog.records if r.name == "boxdim.covering"]
-        assert len(lines) == 6
+        assert len(lines) == 7
         assert all("bitset, 5 trials" in line for line in lines[:4])
         assert "0 nodes walked, 34 isolated" in lines[0]
         assert "0 nodes walked, 0 isolated" in lines[3]
-        assert "near side" in lines[4] and "far side" in lines[5]
-        assert all(" list entries, " in line and " nodes walked, " in line for line in lines[4:])
+        assert lines[4:] == [
+            "box size 2: near side, 1272 list entries, 256 nodes walked, 0 isolated",
+            "box size 4: reach, 19524 list entries, 256 nodes walked, 0 isolated",
+            "box size 7: far side, 162 list entries, 18 nodes walked, 0 isolated",
+        ]
 
     @pytest.mark.parametrize("n", [41, 101])
     def test_isolated_and_universal_nodes_leave_the_walk(self, n):
@@ -456,9 +491,10 @@ def test_kernel_matches_dense_rule(case, short_list):
 @example(n=65, extra=10, graph_seed=3, metric=bd.HOP, master_seed=7, short_list=0)
 @settings(max_examples=30, deadline=None)
 def test_each_step_matches_dense_rule(n, extra, graph_seed, metric, master_seed, short_list):
-    # covering_counts forced through the list walk (with every list through
-    # one scan) and through the bitset lockstep (which only graphs of at most
-    # 64 nodes can take), the latter in trial blocks of 2, so the last is short
+    # covering_counts forced through the list walk (with every size that has
+    # a list entry through the reach rows, or through the lists) and through
+    # the bitset lockstep (which only graphs of at most 64 nodes can take),
+    # the latter in trial blocks of 2, so the last is short
     g = random_connected_graph(n, extra, seed=graph_seed)
     dm = bd.all_pairs(bd.edge_repulsive_force(g) if metric == bd.REPULSION else g, metric)
     sizes = all_box_sizes(dm)
@@ -469,8 +505,13 @@ def test_each_step_matches_dense_rule(n, extra, graph_seed, metric, master_seed,
             mp.setattr(covering, "_WORD_NODES", limit)
             mp.setattr(covering, "_TRIAL_BLOCK", 2)
             mp.setattr(covering, "_SHORT_LIST", short_list)
-            kinds = {type(entry.step) for entry in covering._plan(dm, sizes, trials)}
-            assert kinds == ({np.ndarray} if n <= limit else {covering._SideLists})
+            plan = covering._plan(dm, sizes, trials)
+            kinds = {type(entry.step) for entry in plan if entry.walk.any()}
+            if n <= limit:
+                expected = {np.ndarray}
+            else:
+                expected = {covering._Reach if short_list == 0 else covering._SideLists}
+            assert kinds == (expected if any(entry.walk.any() for entry in plan) else set())
             by_step.append(bd.covering_counts(dm, sizes, trials, master_seed))
     assert np.array_equal(by_step[0], by_step[1])
     for t in range(trials):
