@@ -10,16 +10,17 @@ import argparse
 import json
 import logging
 import math
-import os
 import sys
 import time
 from concurrent.futures import BrokenExecutor
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from .covering import usable_cpus
 from .dimension import DEFAULT_MAX_POINTS, DegenerateScalingError, analyze_matrix
 from .generators import MAX_SIERPINSKI_LEVEL, generate_sierpinski
 from .graphs import EdgeListError, Graph, largest_component, read_edge_list, save_edge_list
@@ -37,12 +38,7 @@ class InputError(Exception):
 
 
 def _default_threads() -> int:
-    # the CPUs this process may run on, which a container or taskset can narrow
-    if hasattr(os, "sched_getaffinity"):
-        usable = len(os.sched_getaffinity(0))
-    else:
-        usable = os.cpu_count() or 1
-    return min(usable, 8)
+    return min(usable_cpus(), 8)
 
 
 def _add_run_options(p: argparse.ArgumentParser) -> None:
@@ -78,7 +74,7 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
         "--threads",
         type=int,
         default=None,
-        help="worker processes for trials (default: usable CPUs, at most 8)",
+        help="worker processes for trials, at most the usable CPUs (default: at most 8)",
     )
     p.add_argument("--csv", metavar="PATH", help="scaling series CSV path")
     p.add_argument("--json", metavar="PATH", help="run summary JSON path")
@@ -148,17 +144,6 @@ def _load_input(args) -> tuple[str, Graph]:
     return f"sierpinski{level}", module.graph
 
 
-def _estimate_dict(est) -> dict:
-    return {
-        "dimension": est.dimension,
-        "dimension_std": est.dimension_std,
-        "slope_stderr": est.slope_stderr,
-        "r_squared": est.r_squared,
-        "points_used": est.points_used,
-        "method": est.method,
-    }
-
-
 def _config_dict(args, dataset: str, threads: int) -> dict:
     return {
         "dataset": dataset,
@@ -179,17 +164,6 @@ def write_series_csv(series, path) -> None:
     for s in series.stats:
         lines.append(f"{s.box_size},{s.mean!r},{s.std!r},{s.min},{s.max}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
-
-def read_series_csv(path) -> tuple[list[int], list[float]]:
-    """Back-parse (box sizes, mean counts) from a scaling series CSV."""
-    rows = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    sizes, means = [], []
-    for row in rows[1:]:
-        cells = row.split(",")
-        sizes.append(int(cells[0]))
-        means.append(float(cells[1]))
-    return sizes, means
 
 
 @contextmanager
@@ -227,7 +201,7 @@ def _run_analysis(args, methods: list[str]) -> int:
     dataset, graph = _load_input(args)
     # once for every method, so a disconnected input is reported once
     comp = largest_component(graph)
-    threads = args.threads if args.threads is not None else _default_threads()
+    threads = _default_threads() if args.threads is None else min(args.threads, usable_cpus())
     fit_range = tuple(args.fit_range) if args.fit_range else None
     started = time.perf_counter()
 
@@ -262,7 +236,7 @@ def _run_analysis(args, methods: list[str]) -> int:
         "dataset": dataset,
         "nodes": first_series.node_count,
         "edges": first_series.edge_count,
-        "methods": {m: _estimate_dict(est) for m, (_, est) in results.items()},
+        "methods": {m: asdict(est) for m, (_, est) in results.items()},
         "wall_seconds": wall,
         "version": __version__,
         "config": _config_dict(args, dataset, threads),

@@ -16,10 +16,10 @@ walk takes one of three steps:
 * Graphs of at most 64 nodes (``_WORD_NODES``) hold each node's far set
   (distance >= box_size) as one 64-bit word and color every trial at once,
   each box one word of members per trial, in the calling process.
-* On larger graphs each trial walks each node's list of whichever side of
-  the threshold holds fewer pairs. A node not yet colored holds color 0, so
-  the colored entries are its earlier neighbours: a far one rules its color
-  out; on the near side a color is open only when every member is one.
+* On larger graphs each trial walks each node's near list, the nodes closer
+  than box_size. A node not yet colored holds color 0, so the colored
+  entries are its earlier near neighbours, and a color is open only when
+  every member is one.
 * Where those lists would be long, reach rows replace them: row c holds,
   for every node v, the largest distance from v to a member of color c, so
   c is open to u exactly when its row holds less than box_size at u.
@@ -45,8 +45,8 @@ BRUTE_FORCE_MAX_NODES = 12
 
 # distance cells read at once (a block's pair indices take at most 2 MB each)
 _CHUNK_CELLS = 1 << 18
-# a size whose smaller side holds more entries than this per walked node
-# colors by reach rows, else it scans its lists in Python (24 / 48 / 96 took
+# a size whose near lists hold more entries than this per walked node
+# colors by reach rows, else it scans them in Python (24 / 48 / 96 took
 # 57 / 49 / 62 ms per Sierpinski 5 hop trial, 25 / 25 / 32 on 2859-node repulsion)
 _SHORT_LIST = 48
 # graphs of at most this many nodes color their trials in lockstep, each box
@@ -101,14 +101,12 @@ class TrialStatistics:
 
 @dataclass(frozen=True, eq=False)
 class _SideLists:
-    """Each node's neighbours on the smaller side of one box size's threshold.
-
-    u's list ``cols[lo[u]:hi[u]]`` is a prefix of u's row of ``cols``: the
-    v != u with d(u, v) < box_size, nearest first, when ``near``; else those
-    at box_size or beyond, farthest first. All sizes of a side share ``cols``.
+    """Each node's near list at one box size: u's list ``cols[lo[u]:hi[u]]``
+    holds the v != u with d(u, v) < box_size. It is a prefix of u's row of
+    ``cols``, sorted nearest first, so all the listed sizes of a call share
+    ``cols``.
     """
 
-    near: bool
     cols: np.ndarray
     lo: list[int]
     hi: list[int]
@@ -117,10 +115,9 @@ class _SideLists:
         """Colors plus one of a greedy pass over the nodes in ``order``, and how many were used.
 
         Color c is open to u when its tally over u's list equals its member
-        count on the near side (``members[0] = -1`` keeps the uncolored out),
-        and when no entry holds it on the far side.
+        count (``members[0] = -1`` keeps the uncolored out).
         """
-        near, lo, hi = self.near, self.lo, self.hi
+        lo, hi = self.lo, self.hi
         scan = memoryview(self.cols)
         n = len(lo)
         colors = [0] * n
@@ -128,23 +125,17 @@ class _SideLists:
         tally = [0] * (n + 1)
         ncolors = 0
         for u in order:
-            s, e = lo[u], hi[u]
-            if near:
-                c = ncolors + 1  # a new color
-                for v in scan[s:e]:
-                    k = colors[v]
-                    t = tally[k] + 1
-                    tally[k] = t
-                    if t == members[k] and k < c:
-                        c = k
-                for v in scan[s:e]:
-                    tally[colors[v]] = 0
-                members[c] += 1
-            else:
-                taken = set(map(colors.__getitem__, scan[s:e]))
-                c = 1
-                while c in taken:
-                    c += 1
+            near = scan[lo[u] : hi[u]]
+            c = ncolors + 1  # a new color
+            for v in near:
+                k = colors[v]
+                t = tally[k] + 1
+                tally[k] = t
+                if t == members[k] and k < c:
+                    c = k
+            for v in near:
+                tally[colors[v]] = 0
+            members[c] += 1
             colors[u] = c
             if c > ncolors:
                 ncolors = c
@@ -183,7 +174,7 @@ class _Reach:
 class _SizePlan:
     """One box size's pass: ``walk`` masks the nodes a trial colors, ``alone``
     counts the isolated nodes, and ``step`` is the far-set words (see
-    ``_far_words``) in lockstep, else the reach step or the side lists."""
+    ``_far_words``) in lockstep, else the reach step or the near lists."""
 
     walk: np.ndarray
     alone: int
@@ -193,8 +184,9 @@ class _SizePlan:
 def _plan(dm: DistanceMatrix, sizes: Sequence[int], trials: int = 0) -> list[_SizePlan]:
     """For each box size, the nodes its pass walks and what the pass reads:
     far-set words for the lockstep ``trials`` of a graph of at most
-    ``_WORD_NODES`` nodes, else reach rows where the smaller side holds more
-    than ``_SHORT_LIST`` entries per walked node, else side lists."""
+    ``_WORD_NODES`` nodes, else reach rows where the near lists hold more
+    than ``_SHORT_LIST`` entries per walked node, else the near lists, every
+    one a prefix of a row of one array sorted once per call."""
     dist, n = dm.dist, dm.n
     block_rows = max(1, _CHUNK_CELLS // max(n, 1))
     blocks = [(a, min(a + block_rows, n)) for a in range(0, n, block_rows)]
@@ -211,18 +203,13 @@ def _plan(dm: DistanceMatrix, sizes: Sequence[int], trials: int = 0) -> list[_Si
     if zeros > n:
         raise ValueError("an off-diagonal distance is 0; covering needs positive ones")
     walks = (cuts > 1) & (cuts < n)
-    near_pairs = cuts.sum(axis=1) - n  # ordered pairs u != v
-    near = 2 * near_pairs <= n * (n - 1)
-    entries = np.where(near, near_pairs, n * (n - 1) - near_pairs)
+    entries = cuts.sum(axis=1) - n  # near pairs, ordered, u != v
     reach = entries > _SHORT_LIST * walks.sum(axis=1)
-    # a side's lists are prefixes of the rows of the size with the most entries
-    # on it: the largest near-side size, or the smallest far-side one
-    rows = {}
-    for side in (True, False):
-        listed = [i for i in range(len(sizes)) if near[i] == side and not reach[i]]
-        if listed and not lockstep:
-            i = max(listed, key=entries.__getitem__)
-            rows[side] = _sorted_rows(dist, blocks, cuts[i], sizes[i], side)
+    listed = [i for i in range(len(sizes)) if not reach[i]]
+    if listed and not lockstep:
+        # every list is a prefix of a row of the listed size with the most entries
+        i = max(listed, key=entries.__getitem__)
+        cols, start, lo = _sorted_rows(dist, blocks, cuts[i], sizes[i])
     plan: list[_SizePlan] = []
     for i, (b, cut, walk) in enumerate(zip(sizes, cuts, walks)):
         alone = int(np.count_nonzero(cut == 1))
@@ -231,10 +218,8 @@ def _plan(dm: DistanceMatrix, sizes: Sequence[int], trials: int = 0) -> list[_Si
         elif reach[i]:
             step, what = _Reach(dist, b), f"reach, {entries[i]} list entries"
         else:
-            cols, start, lo = rows[near[i]]
-            hi = (start[:-1] + (cut - 1 if near[i] else n - cut)).tolist()
-            step = _SideLists(bool(near[i]), cols, lo, hi)
-            what = f"{'near' if near[i] else 'far'} side, {entries[i]} list entries"
+            step = _SideLists(cols, lo, (start[:-1] + cut - 1).tolist())
+            what = f"near side, {entries[i]} list entries"
         logger.debug(
             "box size %d: %s, %d nodes walked, %d isolated", b, what, np.count_nonzero(walk), alone
         )
@@ -242,20 +227,19 @@ def _plan(dm: DistanceMatrix, sizes: Sequence[int], trials: int = 0) -> list[_Si
     return plan
 
 
-def _sorted_rows(dist, blocks, cut, box_size, near) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Each node's list at ``box_size`` (see ``_SideLists``) as one ragged array,
-    where each row starts and ends, and the starts as a list."""
+def _sorted_rows(dist, blocks, cut, box_size) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Each node's near list at ``box_size`` (see ``_SideLists``) as one ragged
+    array, where each row starts and ends, and the starts as a list."""
     n = dist.shape[0]
-    start = np.concatenate(([0], np.cumsum(cut - 1 if near else n - cut)))
+    start = np.concatenate(([0], np.cumsum(cut - 1)))
     cols = np.empty(int(start[-1]), dtype=np.min_scalar_type(n - 1))
     if cols.size:
         for a, z in blocks:
             block = dist[a:z]
             # a flat nonzero is 9 times faster than a 2-d one
-            at = np.flatnonzero((block > 0) & (block < box_size) if near else block >= box_size)
+            at = np.flatnonzero((block > 0) & (block < box_size))
             r, v = np.divmod(at, n)
-            d = block.ravel()[at].astype(np.int64)
-            cols[start[a] : start[z]] = v[np.lexsort((d if near else -d, r))]
+            cols[start[a] : start[z]] = v[np.lexsort((block.ravel()[at], r))]
     return cols, start, start[:-1].tolist()
 
 
@@ -334,6 +318,13 @@ def _trial_counts(plan: list[_SizePlan], n: int, master_seed: int, trial: int) -
     return [entry.step.colors(order[entry.walk[order]].tolist())[1] for entry in plan]
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on, which a container or taskset can narrow."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 # a fork worker's (plan, n, master_seed), inherited from the parent at fork
 _worker_state: tuple | None = None
 
@@ -363,8 +354,9 @@ def covering_counts(
     nodes every trial is colored in lockstep, a block of trials at a time,
     in this process: ``workers`` starts no process there, nor when no size
     walks a node. Otherwise each trial walks the plan, on ``workers``
-    forked processes that share the plan built here; a worker that dies
-    raises ``concurrent.futures.process.BrokenProcessPool``.
+    forked processes, at most one per trial and per usable CPU, that share
+    the plan built here; a worker that dies raises
+    ``concurrent.futures.process.BrokenProcessPool``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -384,7 +376,7 @@ def covering_counts(
                 walked = orders[entry.walk[orders]].reshape(stop - first, -1)
                 row[first:stop] = _lockstep_counts(entry.step, walked)
     elif any(entry.walk.any() for entry in plan):
-        workers = max(1, min(int(workers), trials))
+        workers = max(1, min(int(workers), trials, usable_cpus()))
         if workers > 1 and hasattr(os, "fork"):
             # imported here so that importing the package does not pay for them
             import multiprocessing

@@ -7,6 +7,7 @@ import os
 import signal
 from collections import deque
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,6 +193,23 @@ def graph_weighted_edges(g: bd.Graph, metric: str):
         return [(u, v, 1) for u, v in g.edges]
     deg = bd.degrees(g)
     return [(u, v, int(deg[u]) * int(deg[v])) for u, v in g.edges]
+
+
+def read_series_csv(path) -> tuple[list[int], list[float]]:
+    """Back-parse (box sizes, mean counts) from a scaling series CSV."""
+    rows = Path(path).read_text(encoding="utf-8").strip().splitlines()
+    sizes, means = [], []
+    for row in rows[1:]:
+        cells = row.split(",")
+        sizes.append(int(cells[0]))
+        means.append(float(cells[1]))
+    return sizes, means
+
+
+def set_usable_cpus(monkeypatch, count: int) -> None:
+    """Make ``count`` CPUs usable by this process, as covering's trial pool
+    and the CLI's thread count see them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
 @contextmanager

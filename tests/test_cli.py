@@ -12,9 +12,16 @@ import pytest
 
 import boxdim as bd
 from boxdim import cli, covering, dimension, graphs, metrics
-from boxdim.cli import main, read_series_csv, write_series_csv
+from boxdim.cli import main, write_series_csv
 
-from conftest import die_on_trial, floyd_warshall, graph_weighted_edges, time_limit
+from conftest import (
+    die_on_trial,
+    floyd_warshall,
+    graph_weighted_edges,
+    read_series_csv,
+    set_usable_cpus,
+    time_limit,
+)
 
 
 def run_cli(args, capsys):
@@ -136,6 +143,7 @@ class TestDim:
         assert "degenerate scaling range" in stderr
 
     def test_dead_worker_exit_3(self, karate_file, tmp_path, capsys, monkeypatch):
+        set_usable_cpus(monkeypatch, 2)
         die_on_trial(monkeypatch, 1)
         with time_limit(60):
             code, _, stderr = run_cli(
@@ -411,6 +419,20 @@ class TestDefaultThreads:
         monkeypatch.setattr(os, "cpu_count", lambda: 5)
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         assert cli._default_threads() == 5
+
+    def test_threads_clamped_to_usable_cpus(self, tmp_path, capsys, monkeypatch):
+        # Sierpinski 2 fits one word, so no process starts whatever the count
+        set_usable_cpus(monkeypatch, 2)
+        js = tmp_path / "s.json"
+        code, _, _ = run_cli(
+            [
+                "dim", "--gen", "sierpinski:2", "--method", "hop", "--trials", "5",
+                "--csv", str(tmp_path / "s.csv"), "--json", str(js), "--threads", "500",
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(js.read_text())["config"]["threads"] == 2
 
 
 def test_write_read_series_csv_round_trip(tmp_path, karate):

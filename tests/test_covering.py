@@ -17,6 +17,7 @@ from conftest import (
     die_on_trial,
     is_valid_covering,
     random_connected_graph,
+    set_usable_cpus,
     time_limit,
     trial_stats,
 )
@@ -32,7 +33,7 @@ WORD_NODE_LIMITS = (0, 64)
 def all_box_sizes(dm):
     """Box size 1, every distance and one above it, and one past the diameter,
     so some sizes walk no node (every node is isolated, or every node is
-    universal) and the rest walk near or far lists."""
+    universal) and the rest walk near lists or reach rows."""
     distances = bd.distinct_distances(dm).tolist()
     return sorted({1, dm.diameter + 5, *distances, *(d + 1 for d in distances)})
 
@@ -196,8 +197,9 @@ class TestRunTrials:
         b = trial_stats(dm, 2, trials=50, master_seed=9)
         assert np.array_equal(a.counts, b.counts)
 
-    def test_deterministic_across_workers(self):
+    def test_deterministic_across_workers(self, monkeypatch):
         # above 64 nodes, so the trials run on forked workers
+        set_usable_cpus(monkeypatch, 4)
         dm = bd.all_pairs(random_connected_graph(100, 40, seed=2), bd.HOP)
         serial = bd.covering_counts(dm, [2, 3, 4], trials=40, master_seed=3, workers=1)
         parallel = bd.covering_counts(dm, [2, 3, 4], trials=40, master_seed=3, workers=4)
@@ -205,6 +207,7 @@ class TestRunTrials:
 
     def test_dead_worker_raises_instead_of_hanging(self, monkeypatch):
         dm = bd.all_pairs(random_connected_graph(100, 40, seed=2), bd.HOP)
+        set_usable_cpus(monkeypatch, 2)
         die_on_trial(monkeypatch, 3)
         with time_limit(60), pytest.raises(BrokenProcessPool):
             bd.covering_counts(dm, [2, 3], trials=8, master_seed=1, workers=2)
@@ -223,6 +226,20 @@ class TestRunTrials:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         counts = bd.covering_counts(dm, sizes, trials=40, master_seed=3, workers=4)
         assert np.array_equal(counts, walked)
+
+    def test_one_usable_cpu_starts_no_pool(self, monkeypatch):
+        # the workers asked for are clamped to the usable CPUs: one runs the
+        # trials in the calling process, with the same counts
+        dm = bd.all_pairs(random_connected_graph(100, 40, seed=2), bd.HOP)
+        serial = bd.covering_counts(dm, [2, 3, 4], trials=40, master_seed=3, workers=1)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        set_usable_cpus(monkeypatch, 1)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        counts = bd.covering_counts(dm, [2, 3, 4], trials=40, master_seed=3, workers=500)
+        assert np.array_equal(counts, serial)
 
     def test_trials_must_be_positive(self, example6_hop):
         with pytest.raises(ValueError, match="trials"):
@@ -300,8 +317,9 @@ class TestGreedyCorePaths:
 
     def test_no_walk_sorts_no_rows(self):
         # on a complete graph every node is isolated at size 1 and universal
-        # above it, so no size walks a node: every list is empty, no pair is
-        # gathered or sorted, and no size takes the reach rows
+        # above it, so no size walks a node: size 1's lists are empty, and no
+        # pair is gathered or sorted; sizes 2 and 5 hold every pair near, so
+        # they take the reach rows, which a trial with no walked node never reads
         n = 70
         dm = bd.all_pairs(bd.Graph.from_edges(n, combinations(range(n), 2)), bd.HOP)
         sizes = [1, 2, 5]
@@ -314,8 +332,9 @@ class TestGreedyCorePaths:
             mp.setattr(np, "lexsort", no_sort)
             plan = covering._plan(dm, sizes, trials=4)
         assert not any(entry.walk.any() for entry in plan)
-        assert all(type(entry.step) is covering._SideLists for entry in plan)
-        assert all(entry.step.cols.size == 0 for entry in plan)
+        steps = [entry.step for entry in plan]
+        assert [type(step) for step in steps] == [covering._SideLists, covering._Reach, covering._Reach]
+        assert steps[0].cols.size == 0
         counts = bd.covering_counts(dm, sizes, trials=4, master_seed=2)
         assert counts.tolist() == [[n] * 4, [1] * 4, [1] * 4]
         for t in range(4):
@@ -327,14 +346,13 @@ class TestGreedyCorePaths:
                 assert cov.colors[order].tolist() == dense_greedy_colors(dp, lb)[0].tolist()
 
     def test_sizes_share_one_nearest_matrix(self):
-        # near sizes 2-3 slice one array and far sizes 6-7 another (4-5 take reach)
+        # every listed size slices one array: sizes 1-3 on Sierpinski 3 under
+        # hop, while 4-7 take reach
         dm = bd.all_pairs(bd.generate_sierpinski(3).graph, bd.HOP)
-        plan = covering._plan(dm, range(2, dm.diameter + 1))
+        plan = covering._plan(dm, range(1, dm.diameter + 1))
         lists = [entry.step for entry in plan if type(entry.step) is covering._SideLists]
-        for near in (True, False):
-            side = [entry.cols for entry in lists if entry.near == near]
-            assert len(side) == 2 and all(cols is side[0] for cols in side)
-        assert lists[0].cols is not lists[-1].cols
+        assert len(lists) == 3 and all(step.cols is lists[0].cols for step in lists)
+        assert lists[-1].cols.size == lists[-1].hi[-1]
 
     def test_off_diagonal_zero_refused(self):
         # no all_pairs matrix holds one; covering refuses it in every
@@ -373,12 +391,12 @@ class TestGreedyCorePaths:
 
     def test_one_call_mixes_every_list_step(self):
         # Sierpinski 3 under hop at the default limit: near lists at sizes
-        # 2-3, reach rows at 4-5, far lists at 6-7; no node walks at 1 or 8
+        # 1-3, reach rows at 4-8; no node walks at 1 or 8
         dm = bd.all_pairs(bd.generate_sierpinski(3).graph, bd.HOP)
         sizes = list(range(1, dm.diameter + 2))
         plan = covering._plan(dm, sizes, trials=4)
-        kinds = ["reach" if type(e.step) is covering._Reach else e.step.near for e in plan]
-        assert kinds == [True, True, True, "reach", "reach", False, False, False]
+        kinds = [type(e.step) is covering._Reach for e in plan]
+        assert kinds == [False] * 3 + [True] * 5
         counts = bd.covering_counts(dm, sizes, trials=4, master_seed=3)
         assert_counts_follow_rule(dm, sizes, counts, 3)
         order = np.random.default_rng(3).permutation(dm.n)
@@ -390,12 +408,14 @@ class TestGreedyCorePaths:
 
     def test_karate_hop_takes_every_branch(self, karate):
         # no node walks at size 1 (every node isolated, N_B = n) or 6 (every
-        # node universal, N_B = 1); near lists at 2 and far lists at 4
+        # node universal, N_B = 1); near lists at 2, and at 4, where most
+        # pairs are near but 34 nodes hold fewer than 48 per walked node
         dm = bd.all_pairs(karate, bd.HOP)
         plan = covering._plan(dm, [1, 2, 4, 6])
         assert not plan[0].walk.any() and plan[0].alone == dm.n
         assert not plan[3].walk.any() and plan[3].alone == 0
-        assert plan[1].step.near and not plan[2].step.near
+        assert type(plan[1].step) is type(plan[2].step) is covering._SideLists
+        assert plan[2].step.cols is plan[1].step.cols
         counts = bd.covering_counts(dm, [1, 2, 4, 6], trials=20, master_seed=8)
         for t in range(20):
             order = np.random.default_rng((8, t)).permutation(dm.n)
@@ -405,7 +425,7 @@ class TestGreedyCorePaths:
 
     def test_one_debug_line_per_size_not_per_trial(self, karate, caplog):
         # karate's 34 nodes take the bitset step; Sierpinski 3's 256 the
-        # near lists, the reach rows and the far lists
+        # near lists, then the reach rows
         kar = bd.all_pairs(karate, bd.HOP)
         sier = bd.all_pairs(bd.generate_sierpinski(3).graph, bd.HOP)
         with caplog.at_level(logging.DEBUG, logger="boxdim.covering"):
@@ -419,7 +439,7 @@ class TestGreedyCorePaths:
         assert lines[4:] == [
             "box size 2: near side, 1272 list entries, 256 nodes walked, 0 isolated",
             "box size 4: reach, 19524 list entries, 256 nodes walked, 0 isolated",
-            "box size 7: far side, 162 list entries, 18 nodes walked, 0 isolated",
+            "box size 7: reach, 65118 list entries, 18 nodes walked, 0 isolated",
         ]
 
     @pytest.mark.parametrize("n", [41, 101])
@@ -460,7 +480,7 @@ def covering_cases(draw):
 @settings(max_examples=80, deadline=None)
 def test_kernel_matches_dense_rule(case, short_list):
     # box sizes: 1, every distance and one above it, and past the diameter,
-    # so some sizes walk no node and the rest walk near or far lists
+    # so some sizes walk no node and the rest walk near lists or reach rows
     dm, order, seed = case
     sizes = all_box_sizes(dm)
     with pytest.MonkeyPatch.context() as mp:
@@ -484,17 +504,19 @@ def test_kernel_matches_dense_rule(case, short_list):
     graph_seed=st.integers(0, 10**6),
     metric=st.sampled_from([bd.HOP, bd.REPULSION]),
     master_seed=st.integers(0, 1000),
-    short_list=st.sampled_from(SHORT_LIST_LIMITS),
+    short_list=st.sampled_from(SHORT_LIST_LIMITS + (covering._SHORT_LIST,)),
 )
 @example(n=63, extra=30, graph_seed=1, metric=bd.HOP, master_seed=5, short_list=0)
 @example(n=64, extra=100, graph_seed=2, metric=bd.REPULSION, master_seed=6, short_list=10**9)
 @example(n=65, extra=10, graph_seed=3, metric=bd.HOP, master_seed=7, short_list=0)
+@example(n=70, extra=40, graph_seed=1, metric=bd.REPULSION, master_seed=8, short_list=covering._SHORT_LIST)
 @settings(max_examples=30, deadline=None)
 def test_each_step_matches_dense_rule(n, extra, graph_seed, metric, master_seed, short_list):
     # covering_counts forced through the list walk (with every size that has
-    # a list entry through the reach rows, or through the lists) and through
-    # the bitset lockstep (which only graphs of at most 64 nodes can take),
-    # the latter in trial blocks of 2, so the last is short
+    # a list entry through the reach rows, or through the lists, or at the
+    # default limit, where one call takes both) and through the bitset
+    # lockstep (which only graphs of at most 64 nodes can take), the latter
+    # in trial blocks of 2, so the last is short
     g = random_connected_graph(n, extra, seed=graph_seed)
     dm = bd.all_pairs(bd.edge_repulsive_force(g) if metric == bd.REPULSION else g, metric)
     sizes = all_box_sizes(dm)
@@ -509,8 +531,10 @@ def test_each_step_matches_dense_rule(n, extra, graph_seed, metric, master_seed,
             kinds = {type(entry.step) for entry in plan if entry.walk.any()}
             if n <= limit:
                 expected = {np.ndarray}
-            else:
+            elif short_list in SHORT_LIST_LIMITS:
                 expected = {covering._Reach if short_list == 0 else covering._SideLists}
+            else:  # the default limit: the near lists, the reach rows or both
+                expected = kinds & {covering._Reach, covering._SideLists}
             assert kinds == (expected if any(entry.walk.any() for entry in plan) else set())
             by_step.append(bd.covering_counts(dm, sizes, trials, master_seed))
     assert np.array_equal(by_step[0], by_step[1])
