@@ -76,7 +76,6 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
         default=None,
         help="worker processes for trials, at most the usable CPUs (default: at most 8)",
     )
-    p.add_argument("--csv", metavar="PATH", help="scaling series CSV path")
     p.add_argument("--json", metavar="PATH", help="run summary JSON path")
     p.add_argument(
         "--dump-matrix",
@@ -108,10 +107,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=REPULSION,
         help="distance metric for the box covering",
     )
+    dim.add_argument("--csv", metavar="PATH", help="scaling series CSV path")
     _add_run_options(dim)
 
     comp = sub.add_parser("compare", help="run both methods on the same component and seed")
     _add_run_options(comp)
+    # each method's series goes to <dataset>.<method>.csv
+    comp.set_defaults(csv=None)
     return parser
 
 
@@ -225,7 +227,7 @@ def _run_analysis(args, methods: list[str]) -> int:
         # one matrix alive at a time: release it before the next method builds its own
         del dm
         results[method] = (series, estimate)
-        csv_path = args.csv if (args.csv and len(methods) == 1) else f"{dataset}.{method}.csv"
+        csv_path = args.csv or f"{dataset}.{method}.csv"
         with _writing(csv_path):
             write_series_csv(series, csv_path)
         logger.info("wrote %s", csv_path)

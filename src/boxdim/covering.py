@@ -30,6 +30,7 @@ results are identical for a fixed master seed whatever the step or workers.
 """
 from __future__ import annotations
 
+import functools
 import logging
 import os
 from dataclasses import dataclass
@@ -47,7 +48,8 @@ BRUTE_FORCE_MAX_NODES = 12
 _CHUNK_CELLS = 1 << 18
 # a size whose near lists hold more entries than this per walked node
 # colors by reach rows, else it scans them in Python (24 / 48 / 96 took
-# 57 / 49 / 62 ms per Sierpinski 5 hop trial, 25 / 25 / 32 on 2859-node repulsion)
+# 65 / 60 / 73 ms per Sierpinski 5 hop trial, 37 / 37 / 38 on the 2859-node
+# graph under hop and 33 / 32 / 39 under repulsion, 2-core x86-64)
 _SHORT_LIST = 48
 # graphs of at most this many nodes color their trials in lockstep, each box
 # one machine word; boxes of several words lost to the list walk from about
@@ -101,15 +103,11 @@ class TrialStatistics:
 
 @dataclass(frozen=True, eq=False)
 class _SideLists:
-    """Each node's near list at one box size: u's list ``cols[lo[u]:hi[u]]``
-    holds the v != u with d(u, v) < box_size. It is a prefix of u's row of
-    ``cols``, sorted nearest first, so all the listed sizes of a call share
-    ``cols``.
-    """
+    """Each node's near list at one box size, in node order: u's list
+    ``cols[start[u]:start[u + 1]]`` holds the v != u with d(u, v) < box_size."""
 
     cols: np.ndarray
-    lo: list[int]
-    hi: list[int]
+    start: list[int]
 
     def colors(self, order: list[int]) -> tuple[list[int], int]:
         """Colors plus one of a greedy pass over the nodes in ``order``, and how many were used.
@@ -117,15 +115,15 @@ class _SideLists:
         Color c is open to u when its tally over u's list equals its member
         count (``members[0] = -1`` keeps the uncolored out).
         """
-        lo, hi = self.lo, self.hi
+        start = self.start
         scan = memoryview(self.cols)
-        n = len(lo)
+        n = len(start) - 1
         colors = [0] * n
         members = [-1] + [0] * n
         tally = [0] * (n + 1)
         ncolors = 0
         for u in order:
-            near = scan[lo[u] : hi[u]]
+            near = scan[start[u] : start[u + 1]]
             c = ncolors + 1  # a new color
             for v in near:
                 k = colors[v]
@@ -185,8 +183,7 @@ def _plan(dm: DistanceMatrix, sizes: Sequence[int], trials: int = 0) -> list[_Si
     """For each box size, the nodes its pass walks and what the pass reads:
     far-set words for the lockstep ``trials`` of a graph of at most
     ``_WORD_NODES`` nodes, else reach rows where the near lists hold more
-    than ``_SHORT_LIST`` entries per walked node, else the near lists, every
-    one a prefix of a row of one array sorted once per call."""
+    than ``_SHORT_LIST`` entries per walked node, else the near lists."""
     dist, n = dm.dist, dm.n
     block_rows = max(1, _CHUNK_CELLS // max(n, 1))
     blocks = [(a, min(a + block_rows, n)) for a in range(0, n, block_rows)]
@@ -204,43 +201,25 @@ def _plan(dm: DistanceMatrix, sizes: Sequence[int], trials: int = 0) -> list[_Si
         raise ValueError("an off-diagonal distance is 0; covering needs positive ones")
     walks = (cuts > 1) & (cuts < n)
     entries = cuts.sum(axis=1) - n  # near pairs, ordered, u != v
-    reach = entries > _SHORT_LIST * walks.sum(axis=1)
-    listed = [i for i in range(len(sizes)) if not reach[i]]
-    if listed and not lockstep:
-        # every list is a prefix of a row of the listed size with the most entries
-        i = max(listed, key=entries.__getitem__)
-        cols, start, lo = _sorted_rows(dist, blocks, cuts[i], sizes[i])
     plan: list[_SizePlan] = []
-    for i, (b, cut, walk) in enumerate(zip(sizes, cuts, walks)):
-        alone = int(np.count_nonzero(cut == 1))
+    for b, cut, walk, pairs in zip(sizes, cuts, walks, entries):
+        alone, walked = int(np.count_nonzero(cut == 1)), np.count_nonzero(walk)
         if lockstep:
             step, what = _far_words(dist, b), f"bitset, {trials} trials in lockstep"
-        elif reach[i]:
-            step, what = _Reach(dist, b), f"reach, {entries[i]} list entries"
+        elif pairs > _SHORT_LIST * walked:
+            step, what = _Reach(dist, b), f"reach, {pairs} list entries"
         else:
-            step = _SideLists(cols, lo, (start[:-1] + cut - 1).tolist())
-            what = f"near side, {entries[i]} list entries"
-        logger.debug(
-            "box size %d: %s, %d nodes walked, %d isolated", b, what, np.count_nonzero(walk), alone
-        )
+            start = np.concatenate(([0], np.cumsum(cut - 1)))
+            cols = np.empty(pairs, dtype=np.min_scalar_type(n - 1))
+            if pairs:
+                for a, z in blocks:
+                    block = dist[a:z]
+                    # a flat nonzero is 9 times faster than a 2-d one
+                    cols[start[a] : start[z]] = np.flatnonzero((block > 0) & (block < b)) % n
+            step, what = _SideLists(cols, start.tolist()), f"near side, {pairs} list entries"
+        logger.debug("box size %d: %s, %d nodes walked, %d isolated", b, what, walked, alone)
         plan.append(_SizePlan(walk, alone, step))
     return plan
-
-
-def _sorted_rows(dist, blocks, cut, box_size) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Each node's near list at ``box_size`` (see ``_SideLists``) as one ragged
-    array, where each row starts and ends, and the starts as a list."""
-    n = dist.shape[0]
-    start = np.concatenate(([0], np.cumsum(cut - 1)))
-    cols = np.empty(int(start[-1]), dtype=np.min_scalar_type(n - 1))
-    if cols.size:
-        for a, z in blocks:
-            block = dist[a:z]
-            # a flat nonzero is 9 times faster than a 2-d one
-            at = np.flatnonzero((block > 0) & (block < box_size))
-            r, v = np.divmod(at, n)
-            cols[start[a] : start[z]] = v[np.lexsort((block.ravel()[at], r))]
-    return cols, start, start[:-1].tolist()
 
 
 def _far_words(dist: np.ndarray, box_size: int) -> np.ndarray:
@@ -294,28 +273,27 @@ def _order(n: int, master_seed: int, trial: int) -> np.ndarray:
     return np.random.default_rng((master_seed, trial)).permutation(n)
 
 
-# the last lockstep block of orders drawn, keyed by (n, master_seed, first,
-# stop): compare colors the same trials of one graph under both metrics
-_last_orders: tuple[tuple[int, int, int, int], np.ndarray] | None = None
-
-
+# compare colors the same trials of one graph under both metrics, so the
+# last block of orders drawn is kept
+@functools.lru_cache(maxsize=1)
 def _order_block(n: int, master_seed: int, first: int, stop: int) -> np.ndarray:
     """The node orders of trials ``first`` to ``stop - 1``, one row each (n <= 64)."""
-    global _last_orders
-    key = (n, master_seed, first, stop)
-    if _last_orders is None or _last_orders[0] != key:
-        orders = np.empty((stop - first, n), dtype=np.uint8)
-        for t in range(first, stop):
-            orders[t - first] = _order(n, master_seed, t)
-        orders.setflags(write=False)
-        _last_orders = key, orders
-    return _last_orders[1]
+    orders = np.empty((stop - first, n), dtype=np.uint8)
+    for t in range(first, stop):
+        orders[t - first] = _order(n, master_seed, t)
+    orders.setflags(write=False)
+    return orders
 
 
 def _trial_counts(plan: list[_SizePlan], n: int, master_seed: int, trial: int) -> list[int]:
     """Each size's count of boxes that its walked nodes take in trial ``trial``."""
     order = _order(n, master_seed, trial)
-    return [entry.step.colors(order[entry.walk[order]].tolist())[1] for entry in plan]
+    counts = []
+    for entry in plan:
+        # one walk alive at a time; a size that walks no node colors nothing
+        walk = order[entry.walk[order]].tolist()
+        counts.append(entry.step.colors(walk)[1] if walk else 0)
+    return counts
 
 
 def usable_cpus() -> int:

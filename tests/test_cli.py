@@ -25,7 +25,10 @@ from conftest import (
 
 
 def run_cli(args, capsys):
-    code = main(args)
+    try:
+        code = main(args)
+    except SystemExit as exc:  # argparse refuses a bad command line with exit 2
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -221,6 +224,7 @@ class TestDim:
             ("--fit-range", "5 2"),
             ("--fit-range", "nan 3"),
             ("--fit-range", "1 inf"),
+            ("--csv", "x.csv"),
         ],
     )
     def test_bad_option_exit_2_before_loading(
@@ -389,7 +393,7 @@ class TestCompare:
         # both methods color the same trials of one graph, so the second
         # reads the orders the first drew
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(covering, "_last_orders", None)
+        covering._order_block.cache_clear()
         drawn = []
         order = covering._order
 

@@ -345,14 +345,19 @@ class TestGreedyCorePaths:
                 cov = bd.greedy_box_cover(dm, lb, order)
                 assert cov.colors[order].tolist() == dense_greedy_colors(dp, lb)[0].tolist()
 
-    def test_sizes_share_one_nearest_matrix(self):
-        # every listed size slices one array: sizes 1-3 on Sierpinski 3 under
-        # hop, while 4-7 take reach
+    def test_each_listed_size_lists_its_near_sets(self):
+        # sizes 1-3 on Sierpinski 3 under hop take near lists, 4-7 reach;
+        # each listed size holds u's near set, ascending, in u's slice
         dm = bd.all_pairs(bd.generate_sierpinski(3).graph, bd.HOP)
-        plan = covering._plan(dm, range(1, dm.diameter + 1))
-        lists = [entry.step for entry in plan if type(entry.step) is covering._SideLists]
-        assert len(lists) == 3 and all(step.cols is lists[0].cols for step in lists)
-        assert lists[-1].cols.size == lists[-1].hi[-1]
+        sizes = range(1, dm.diameter + 1)
+        plan = covering._plan(dm, sizes)
+        listed = [(b, e.step) for b, e in zip(sizes, plan) if type(e.step) is covering._SideLists]
+        assert [b for b, _ in listed] == [1, 2, 3]
+        for b, step in listed:
+            assert len(step.start) == dm.n + 1 and step.start[-1] == step.cols.size
+            for u in range(dm.n):
+                near = np.flatnonzero((dm.dist[u] > 0) & (dm.dist[u] < b))
+                assert step.cols[step.start[u] : step.start[u + 1]].tolist() == near.tolist()
 
     def test_off_diagonal_zero_refused(self):
         # no all_pairs matrix holds one; covering refuses it in every
@@ -389,15 +394,25 @@ class TestGreedyCorePaths:
                 assert {type(entry.step) for entry in plan if entry.walk.any()} == {step}
                 assert_counts_follow_rule(dm, sizes, counts, 5)
 
-    def test_one_call_mixes_every_list_step(self):
+    def test_one_call_mixes_every_list_step(self, monkeypatch):
         # Sierpinski 3 under hop at the default limit: near lists at sizes
-        # 1-3, reach rows at 4-8; no node walks at 1 or 8
+        # 1-3, reach rows at 4-8; no node walks at 1 or 8, so a trial colors
+        # neither
         dm = bd.all_pairs(bd.generate_sierpinski(3).graph, bd.HOP)
         sizes = list(range(1, dm.diameter + 2))
         plan = covering._plan(dm, sizes, trials=4)
         kinds = [type(e.step) is covering._Reach for e in plan]
         assert kinds == [False] * 3 + [True] * 5
+        assert not plan[0].walk.any() and not plan[-1].walk.any()
+        walked = []
+        for step in (covering._SideLists, covering._Reach):
+            def colors(self, order, colors=step.colors):
+                walked.append(len(order))
+                return colors(self, order)
+
+            monkeypatch.setattr(step, "colors", colors)
         counts = bd.covering_counts(dm, sizes, trials=4, master_seed=3)
+        assert len(walked) == 4 * 6 and 0 not in walked
         assert_counts_follow_rule(dm, sizes, counts, 3)
         order = np.random.default_rng(3).permutation(dm.n)
         dp = dm.dist[np.ix_(order, order)]
@@ -415,7 +430,6 @@ class TestGreedyCorePaths:
         assert not plan[0].walk.any() and plan[0].alone == dm.n
         assert not plan[3].walk.any() and plan[3].alone == 0
         assert type(plan[1].step) is type(plan[2].step) is covering._SideLists
-        assert plan[2].step.cols is plan[1].step.cols
         counts = bd.covering_counts(dm, [1, 2, 4, 6], trials=20, master_seed=8)
         for t in range(20):
             order = np.random.default_rng((8, t)).permutation(dm.n)
