@@ -38,19 +38,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .metrics import DistanceMatrix
+from .metrics import DistanceMatrix, row_blocks
 
 logger = logging.getLogger(__name__)
 
 BRUTE_FORCE_MAX_NODES = 12
 
-# distance cells read at once (a block's pair indices take at most 2 MB each)
-_CHUNK_CELLS = 1 << 18
 # a size whose near lists hold more entries than this per walked node
 # colors by reach rows, else it scans them in Python (24 / 48 / 96 took
 # 65 / 60 / 73 ms per Sierpinski 5 hop trial, 37 / 37 / 38 on the 2859-node
 # graph under hop and 33 / 32 / 39 under repulsion, 2-core x86-64)
 _SHORT_LIST = 48
+# reach rows a pass starts with, and adds each time they fill: a fixed step,
+# so the old and the new rows held at once do not double with the colors
+_REACH_ROWS = 64
 # graphs of at most this many nodes color their trials in lockstep, each box
 # one machine word; boxes of several words lost to the list walk from about
 # 128 nodes, and were 2-6 times slower at 256-512
@@ -145,7 +146,8 @@ class _Reach:
     """A long-list size's pass, over reach rows: ``reach[c, v]`` is the largest
     d(w, v) over the members w of color c + 1, so that color is open to u
     exactly when ``reach[c, u] < box_size``. The row past the last color is
-    all zeros, so some color is always open; the rows double as they fill."""
+    all zeros, so some color is always open; ``_REACH_ROWS`` more rows are
+    added each time they fill."""
 
     dist: np.ndarray
     box_size: int
@@ -153,8 +155,9 @@ class _Reach:
     def colors(self, order: list[int]) -> tuple[list[int], int]:
         """As ``_SideLists.colors``."""
         dist, b = self.dist, self.box_size
-        reach = np.zeros((64, dist.shape[0]), dtype=dist.dtype)
-        colors = [0] * dist.shape[0]
+        n = dist.shape[0]
+        reach = np.zeros((_REACH_ROWS, n), dtype=dist.dtype)
+        colors = [0] * n
         ncolors = 0
         for u in order:
             c = int((reach[: ncolors + 1, u] < b).argmax())
@@ -164,7 +167,9 @@ class _Reach:
             if c == ncolors:
                 ncolors += 1
                 if ncolors == len(reach):
-                    reach = np.pad(reach, ((0, ncolors), (0, 0)))
+                    grown = np.zeros((ncolors + _REACH_ROWS, n), dtype=reach.dtype)
+                    grown[:ncolors] = reach
+                    reach = grown
         return colors, ncolors
 
 
@@ -185,8 +190,7 @@ def _plan(dm: DistanceMatrix, sizes: Sequence[int], trials: int = 0) -> list[_Si
     ``_WORD_NODES`` nodes, else reach rows where the near lists hold more
     than ``_SHORT_LIST`` entries per walked node, else the near lists."""
     dist, n = dm.dist, dm.n
-    block_rows = max(1, _CHUNK_CELLS // max(n, 1))
-    blocks = [(a, min(a + block_rows, n)) for a in range(0, n, block_rows)]
+    blocks = row_blocks(n)
     lockstep = trials > 0 and n <= _WORD_NODES
     # cuts[i, u] counts the nodes v with d(u, v) < sizes[i], u itself included
     cuts = np.empty((len(sizes), n), dtype=np.int64)
@@ -200,26 +204,42 @@ def _plan(dm: DistanceMatrix, sizes: Sequence[int], trials: int = 0) -> list[_Si
     if zeros > n:
         raise ValueError("an off-diagonal distance is 0; covering needs positive ones")
     walks = (cuts > 1) & (cuts < n)
+    walked = np.count_nonzero(walks, axis=1)
     entries = cuts.sum(axis=1) - n  # near pairs, ordered, u != v
+    listed = [] if lockstep else np.nonzero(entries <= _SHORT_LIST * walked)[0].tolist()
+    near = dict(zip(listed, _near_lists(dist, blocks, [sizes[i] for i in listed], cuts[listed])))
     plan: list[_SizePlan] = []
-    for b, cut, walk, pairs in zip(sizes, cuts, walks, entries):
-        alone, walked = int(np.count_nonzero(cut == 1)), np.count_nonzero(walk)
+    for i, (b, cut, walk, pairs) in enumerate(zip(sizes, cuts, walks, entries)):
+        alone = int(np.count_nonzero(cut == 1))
         if lockstep:
             step, what = _far_words(dist, b), f"bitset, {trials} trials in lockstep"
-        elif pairs > _SHORT_LIST * walked:
-            step, what = _Reach(dist, b), f"reach, {pairs} list entries"
+        elif i in near:
+            step, what = near[i], f"near side, {pairs} list entries"
         else:
-            start = np.concatenate(([0], np.cumsum(cut - 1)))
-            cols = np.empty(pairs, dtype=np.min_scalar_type(n - 1))
-            if pairs:
-                for a, z in blocks:
-                    block = dist[a:z]
-                    # a flat nonzero is 9 times faster than a 2-d one
-                    cols[start[a] : start[z]] = np.flatnonzero((block > 0) & (block < b)) % n
-            step, what = _SideLists(cols, start.tolist()), f"near side, {pairs} list entries"
-        logger.debug("box size %d: %s, %d nodes walked, %d isolated", b, what, walked, alone)
+            step, what = _Reach(dist, b), f"reach, {pairs} list entries"
+        logger.debug("box size %d: %s, %d nodes walked, %d isolated", b, what, walked[i], alone)
         plan.append(_SizePlan(walk, alone, step))
     return plan
+
+
+def _near_lists(dist: np.ndarray, blocks, sizes: list[int], cuts: np.ndarray) -> list[_SideLists]:
+    """The near lists of each of ``sizes``, whose rows of ``cuts`` count each
+    node's near set plus itself, from one read of each row block."""
+    n = dist.shape[0]
+    starts = [np.concatenate(([0], np.cumsum(cut - 1))) for cut in cuts]
+    cols = [np.empty(start[-1], dtype=np.min_scalar_type(n - 1)) for start in starts]
+    if any(col.size for col in cols):
+        top = max(sizes)
+        for a, z in blocks:
+            block = dist[a:z].reshape(-1)
+            # a flat nonzero is 9 times faster than a 2-d one; the widest
+            # size's entries hold every other size's, in the same order
+            near = np.flatnonzero((block > 0) & (block < top))
+            d = block[near]
+            near %= n
+            for b, start, col in zip(sizes, starts, cols):
+                col[start[a] : start[z]] = near if b == top else near[d < b]
+    return [_SideLists(col, start.tolist()) for col, start in zip(cols, starts)]
 
 
 def _far_words(dist: np.ndarray, box_size: int) -> np.ndarray:

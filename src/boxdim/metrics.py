@@ -17,11 +17,15 @@ over the CSR arrays. A round with many cells to relax pulls: each row takes the
 minimum of itself and its neighbours' rows plus the arc weight. A round with
 few pushes the cells that fell in the last round along their arcs, so
 long-diameter graphs do not pay a matrix pass per round (the direction switch
-of Beamer et al., SC 2012). The rounds stop when one changes nothing. The
-matrix is held in the narrowest of uint8, int16, int32 and int64 that provably
-holds every value the kernel forms, a bound set by one breadth-first search
-from node 0 (see ``_matrix_dtype``): uint8 for hops on at most 254 nodes, or
-whenever node 0 lies at most 126 hops from every node.
+of Beamer et al., SC 2012). A pull round lowers a block of rows of one degree
+at a time, so the arcs leaving the cells that fell, which the switch weighs,
+are that degree times one flat count of the block. The rounds stop when one
+changes nothing. The matrix is held in the narrowest of uint8, int16, int32
+and int64 that provably holds every value the kernel forms, a bound set by
+one breadth-first search from node 0 (see ``_matrix_dtype``): uint8 for hops
+on at most 254 nodes, or whenever node 0 lies at most 126 hops from every
+node. Whole-matrix scans, such as ``distinct_distances``, read it a block of
+rows at a time and copy none of it.
 """
 from __future__ import annotations
 
@@ -43,11 +47,17 @@ REPULSION = "repulsion"
 MAX_CELLS = 10**9
 
 # A round pushes the cells that fell in the last round while their arcs number
-# fewer than n * n / _PUSH_CELLS: one pushed arc costs about as much as this
-# many cells of a pull round, whose work grows with n * n whatever fell.
+# fewer than n * n / _PUSH_CELLS, as a pull round's work grows with n * n
+# whatever fell. One pushed arc cost about as much as 10-25 cells of a pull
+# round (Sierpinski 5 and a 64 x 64 grid, hop and repulsion, every round
+# pushed against every round pulled, 2-core x86-64); the pinned round counts
+# and the memory of the push state were set at 48.
 _PUSH_CELLS = 48
 # matrix cells a pull round lowers at once (at most 256 KB, which stays in cache)
 _PULL_CELLS = 1 << 15
+# matrix cells a scan of the whole matrix reads at once (a block's flat
+# indices take at most 2 MB)
+_BLOCK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,7 +193,7 @@ def _repulsion_matrix(indptr, indices, weights) -> tuple[np.ndarray, int, int]:
             cost = int(degree[keys // n].sum())
         else:
             pulled += 1
-            cost, keys = _pull_round(groups, mat, degree)
+            cost, keys = _pull_round(groups, mat)
     return mat, rounds, pulled
 
 
@@ -203,7 +213,7 @@ def _push_round(indptr, indices, weights, flat, keys) -> np.ndarray:
     return key[np.diff(key, prepend=-1) != 0]
 
 
-def _pull_round(groups, mat, degree) -> tuple[int, np.ndarray | None]:
+def _pull_round(groups, mat) -> tuple[int, np.ndarray | None]:
     """Lower each row, in place, to its neighbours' rows plus the arc weight.
 
     Returns how many arcs leave the cells that fell, and those cells as flat
@@ -212,18 +222,27 @@ def _pull_round(groups, mat, degree) -> tuple[int, np.ndarray | None]:
     n = mat.shape[0]
     step = max(1, _PULL_CELLS // n)
     cost = 0
-    fell: list[np.ndarray] | None = []
+    # an empty first entry, so that a round where nothing fell still joins keys
+    fell: list[np.ndarray] | None = [np.empty(0, dtype=np.int64)]
     for nodes, nbrs, wts in groups:
+        # every row of a group has d arcs, so a block's cells that fell
+        # leave d times their number of arcs
+        d = nbrs.shape[1]
         for a in range(0, nodes.size, step):
             rows = nodes[a : a + step]
             low = mat[rows]
-            for j in range(nbrs.shape[1]):
+            for j in range(d):
                 np.minimum(low, mat[nbrs[a : a + step, j]] + wts[a : a + step, j, None], out=low)
             down = low < mat[rows]
             mat[rows] = low
-            cost += int(np.count_nonzero(down, axis=1) @ degree[rows])
+            # a flat count and a flat nonzero: per-row counts and a 2-d nonzero
+            # took almost half of a Sierpinski 5 round
+            fallen = int(np.count_nonzero(down))
+            if not fallen:
+                continue
+            cost += d * fallen
             if fell is not None and cost * _PUSH_CELLS < n * n:
-                i, j = np.nonzero(down)
+                i, j = np.divmod(np.flatnonzero(down), n)
                 fell.append(rows[i] * n + j)
             else:
                 fell = None
@@ -279,8 +298,20 @@ def all_pairs(g: Graph | WeightedGraph, metric: str | None = None) -> DistanceMa
     return DistanceMatrix(metric_kind=kind, dist=mat, diameter=diameter)
 
 
+def row_blocks(n: int) -> list[tuple[int, int]]:
+    """The row ranges ``(a, z)`` that split an n x n matrix into blocks of at
+    most ``_BLOCK_CELLS`` cells, or of one row where a row holds more."""
+    rows = max(1, _BLOCK_CELLS // max(n, 1))
+    return [(a, min(a + rows, n)) for a in range(0, n, rows)]
+
+
 def distinct_distances(dm: DistanceMatrix) -> np.ndarray:
-    """Sorted unique off-diagonal distance values."""
-    values = np.unique(dm.dist)
+    """Sorted unique off-diagonal distance values.
+
+    The matrix is read a row block at a time, so no copy of it is made.
+    """
+    values = np.empty(0, dtype=dm.dist.dtype)
+    for a, z in row_blocks(dm.n):
+        values = np.union1d(values, np.unique(dm.dist[a:z]))
     # on a connected graph only the diagonal is zero
     return values[1:] if values.size and values[0] == 0 else values

@@ -387,6 +387,77 @@ def test_rounds_pinned(shape, metric):
         assert (rounds, pulled) == PINNED_ROUNDS[shape, metric][setting]
 
 
+def reference_pull_round(groups, mat, degree):
+    """A pull round as first written (oracle): each block's fallen cells are
+    counted row by row against their degrees and found by a 2-d nonzero."""
+    n = mat.shape[0]
+    step = max(1, metrics._PULL_CELLS // n)
+    cost = 0
+    fell = []
+    for nodes, nbrs, wts in groups:
+        for a in range(0, nodes.size, step):
+            rows = nodes[a : a + step]
+            low = mat[rows]
+            for j in range(nbrs.shape[1]):
+                np.minimum(low, mat[nbrs[a : a + step, j]] + wts[a : a + step, j, None], out=low)
+            down = low < mat[rows]
+            mat[rows] = low
+            cost += int(np.count_nonzero(down, axis=1) @ degree[rows])
+            if fell is not None and cost * metrics._PUSH_CELLS < n * n:
+                i, j = np.nonzero(down)
+                fell.append(rows[i] * n + j)
+            else:
+                fell = None
+    return cost, None if fell is None else np.concatenate(fell, dtype=np.int64)
+
+
+# a hub of 99 leaves, and random graphs whose nodes have mixed degrees
+PULL_SHAPES = {
+    "star 100": lambda: star_graph(99),
+    **{
+        f"random {n} nodes, seed {seed}": (
+            lambda n=n, extra=extra, seed=seed: random_connected_graph(n, extra, seed=seed)
+        )
+        for n, extra, seed in [(60, 90, 1), (120, 40, 2), (140, 280, 3)]
+    },
+}
+
+
+@pytest.mark.parametrize("pull_cells", [metrics._PULL_CELLS, 256], ids=["default blocks", "2-row blocks"])
+@pytest.mark.parametrize("setting", list(REPULSION_SETTINGS))
+@pytest.mark.parametrize("metric", [bd.HOP, bd.REPULSION])
+@pytest.mark.parametrize("shape", list(PULL_SHAPES))
+def test_pull_round_matches_reference(shape, metric, setting, pull_cells):
+    # every round, from the first to the one that changes nothing, lowers the
+    # same cells and reports the same arc count, as a Python int, and the
+    # same fallen cells in the same order as the reference round
+    g = PULL_SHAPES[shape]()
+    n = g.node_count
+    w = weighted(g).weights if metric == bd.REPULSION else np.ones_like(g.indices)
+    groups = metrics._degree_groups(g.indptr, g.indices, w)
+    mat = np.full((n, n), (n - 1) * int(w.max()) + 1, dtype=np.int64)
+    np.fill_diagonal(mat, 0)
+    ref = mat.copy()
+    rounds = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "_PUSH_CELLS", REPULSION_SETTINGS[setting])
+        mp.setattr(metrics, "_PULL_CELLS", pull_cells)
+        cost = None
+        while cost != 0:
+            rounds += 1
+            cost, keys = metrics._pull_round(groups, mat)
+            want_cost, want_keys = reference_pull_round(groups, ref, np.diff(g.indptr))
+            assert type(cost) is int and cost == want_cost
+            if want_keys is None:
+                assert keys is None
+            else:
+                assert keys.dtype == np.int64 and keys.tolist() == want_keys.tolist()
+            assert np.array_equal(mat, ref)
+    assert rounds > 1
+    assert mat.tolist() == (dijkstra_rows(g) if metric == bd.REPULSION else
+                            [bfs_row(csr_rows(g), s, n) for s in range(n)])
+
+
 def test_all_pairs_holds_little_beside_the_matrix():
     # no n x n mask of fallen cells: the kernel's working state stays small
     # next to the uint8 matrix of Sierpinski level 5
@@ -412,6 +483,37 @@ class TestDistinctDistances:
         g = bd.Graph.from_edges(2, [(0, 1)])
         dm = bd.all_pairs(g, bd.HOP)
         assert bd.distinct_distances(dm).tolist() == [1]
+
+    @pytest.mark.parametrize("metric", [bd.HOP, bd.REPULSION])
+    @pytest.mark.parametrize("block_cells", [metrics._BLOCK_CELLS, 105])
+    @pytest.mark.parametrize("make", [
+        lambda: bd.karate_club(),
+        lambda: bd.generate_sierpinski(4).graph,
+        lambda: random_connected_graph(600, 900, seed=5),
+    ], ids=["karate", "sierpinski 4", "random 600"])
+    def test_row_blocks_match_one_unique(self, make, block_cells, metric):
+        # one block on karate and several on the larger graphs; at 105 cells,
+        # blocks of 3 rows on karate, the last one short, and of 1 row on the rest
+        g = make()
+        dm = bd.all_pairs(bd.edge_repulsive_force(g) if metric == bd.REPULSION else g, metric)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "_BLOCK_CELLS", block_cells)
+            values = bd.distinct_distances(dm)
+        expected = np.unique(dm.dist)[1:]
+        assert values.dtype == dm.dist.dtype and values.tolist() == expected.tolist()
+
+    def test_no_copy_of_the_matrix(self):
+        # the blocks are read one at a time: the scan holds one block's copy,
+        # 256 KB here, next to the 16 MB matrix of Sierpinski level 5
+        dm = bd.all_pairs(bd.generate_sierpinski(5).graph, bd.HOP)
+        tracemalloc.start()
+        try:
+            values = bd.distinct_distances(dm)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert values.tolist() == list(range(1, dm.diameter + 1))
+        assert peak < dm.dist.nbytes / 16
 
 
 @st.composite
