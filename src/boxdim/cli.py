@@ -1,8 +1,8 @@
 """Command-line front end: generate networks, estimate dimensions, compare methods.
 
 Exit codes: 0 success, 2 usage/input error (including an unreadable input or
-an unwritable output file), 3 analysis error (including a trial worker
-process that died).
+an unwritable output file), 3 analysis error (including a worker process
+that died).
 """
 from __future__ import annotations
 
@@ -20,11 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .covering import usable_cpus
 from .dimension import DEFAULT_MAX_POINTS, DegenerateScalingError, analyze_matrix
 from .generators import MAX_SIERPINSKI_LEVEL, generate_sierpinski
 from .graphs import EdgeListError, Graph, largest_component, read_edge_list, save_edge_list
 from .metrics import HOP, REPULSION, DistanceMatrix, all_pairs, edge_repulsive_force
+from .pool import usable_cpus
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -74,7 +74,8 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
         "--threads",
         type=int,
         default=None,
-        help="worker processes for trials, at most the usable CPUs (default: at most 8)",
+        help="worker processes for all-pairs and the trials, at most the usable CPUs "
+        "(default: at most 8)",
     )
     p.add_argument("--json", metavar="PATH", help="run summary JSON path")
     p.add_argument(
@@ -209,7 +210,7 @@ def _run_analysis(args, methods: list[str]) -> int:
 
     results = {}
     for method in methods:
-        dm = all_pairs(edge_repulsive_force(comp) if method == REPULSION else comp, method)
+        dm = all_pairs(edge_repulsive_force(comp) if method == REPULSION else comp, method, threads)
         series, estimate = analyze_matrix(
             dm,
             comp.edge_count,
@@ -298,8 +299,8 @@ def main(argv=None) -> int:
     except (DegenerateScalingError, ValueError, MemoryError) as exc:
         print(f"analysis error: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
-    except BrokenExecutor as exc:  # BrokenProcessPool: a trial worker died
-        print(f"analysis error: a trial worker process died: {exc}", file=sys.stderr)
+    except BrokenExecutor as exc:  # BrokenProcessPool: an all-pairs or trial worker died
+        print(f"analysis error: a worker process died: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
 
 

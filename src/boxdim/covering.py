@@ -32,13 +32,13 @@ from __future__ import annotations
 
 import functools
 import logging
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .metrics import DistanceMatrix, row_blocks
+from .pool import fork_map
 
 logger = logging.getLogger(__name__)
 
@@ -316,27 +316,6 @@ def _trial_counts(plan: list[_SizePlan], n: int, master_seed: int, trial: int) -
     return counts
 
 
-def usable_cpus() -> int:
-    """The CPUs this process may run on, which a container or taskset can narrow."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-# a fork worker's (plan, n, master_seed), inherited from the parent at fork
-_worker_state: tuple | None = None
-
-
-def _init_worker(*state) -> None:
-    global _worker_state
-    _worker_state = state
-
-
-def _worker_trial(trial: int) -> list[int]:
-    plan, n, master_seed = _worker_state  # type: ignore[misc]
-    return _trial_counts(plan, n, master_seed, trial)
-
-
 def covering_counts(
     dm: DistanceMatrix,
     box_sizes: Sequence[int],
@@ -374,24 +353,9 @@ def covering_counts(
                 walked = orders[entry.walk[orders]].reshape(stop - first, -1)
                 row[first:stop] = _lockstep_counts(entry.step, walked)
     elif any(entry.walk.any() for entry in plan):
-        workers = max(1, min(int(workers), trials, usable_cpus()))
-        if workers > 1 and hasattr(os, "fork"):
-            # imported here so that importing the package does not pay for them
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            chunk = max(1, trials // (workers * 8))
-            with ProcessPoolExecutor(
-                workers,
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=_init_worker,
-                initargs=(plan, n, master_seed),
-            ) as pool:
-                for t, col in enumerate(pool.map(_worker_trial, range(trials), chunksize=chunk)):
-                    counts[:, t] = col
-        else:
-            for t in range(trials):
-                counts[:, t] = _trial_counts(plan, n, master_seed, t)
+        state = (plan, n, master_seed)
+        for t, col in enumerate(fork_map(_trial_counts, range(trials), workers, state)):
+            counts[:, t] = col
     alone = np.array([entry.alone for entry in plan], dtype=np.int64)
     return np.maximum(counts + alone[:, None], 1)
 

@@ -217,13 +217,14 @@ def analyze(
     """Estimate the fractal dimension of a graph end to end.
 
     Pipeline: largest component -> (repulsion only: degree-product edge
-    weights) -> all-pairs distances -> ``analyze_matrix``. Returns the scaling
-    series and the estimate.
+    weights) -> all-pairs distances -> ``analyze_matrix``. ``workers`` forked
+    processes relax the all-pairs columns and run the trials. Returns the
+    scaling series and the estimate.
     """
     if method not in (REPULSION, HOP):
         raise ValueError(f"unknown method {method!r}")
     comp = largest_component(g)
-    dm = all_pairs(edge_repulsive_force(comp) if method == REPULSION else comp, method)
+    dm = all_pairs(edge_repulsive_force(comp) if method == REPULSION else comp, method, workers)
     return analyze_matrix(
         dm, comp.edge_count, trials=trials, seed=seed, max_points=max_points,
         fit_range=fit_range, workers=workers, min_box_size=min_box_size,

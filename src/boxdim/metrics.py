@@ -20,12 +20,16 @@ long-diameter graphs do not pay a matrix pass per round (the direction switch
 of Beamer et al., SC 2012). A pull round lowers a block of rows of one degree
 at a time, so the arcs leaving the cells that fell, which the switch weighs,
 are that degree times one flat count of the block. The rounds stop when one
-changes nothing. The matrix is held in the narrowest of uint8, int16, int32
-and int64 that provably holds every value the kernel forms, a bound set by
-one breadth-first search from node 0 (see ``_matrix_dtype``): uint8 for hops
-on at most 254 nodes, or whenever node 0 lies at most 126 hops from every
-node. Whole-matrix scans, such as ``distinct_distances``, read it a block of
-rows at a time and copy none of it.
+changes nothing. Column s holds the distances from source s, and a round only
+ever combines a column with itself, so the columns split into slices that
+relax apart: on graphs of at least ``_FORK_NODES`` nodes, one slice per
+worker, each on a forked process, all writing into one matrix in a shared
+anonymous mapping. The matrix is held in the narrowest of uint8, int16, int32
+and int64 that provably holds every value the kernel forms, a bound set by one
+Bellman–Ford from node 0 (see ``_matrix_dtype``): uint8 for hops on at most
+254 nodes, or whenever node 0 lies at most 126 hops from every node.
+Whole-matrix scans, such as ``distinct_distances``, read it a block of rows at
+a time and copy none of it.
 """
 from __future__ import annotations
 
@@ -36,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph, is_connected
+from .pool import fork_map, usable_workers
 
 logger = logging.getLogger(__name__)
 
@@ -47,14 +52,26 @@ REPULSION = "repulsion"
 MAX_CELLS = 10**9
 
 # A round pushes the cells that fell in the last round while their arcs number
-# fewer than n * n / _PUSH_CELLS, as a pull round's work grows with n * n
-# whatever fell. One pushed arc cost about as much as 10-25 cells of a pull
-# round (Sierpinski 5 and a 64 x 64 grid, hop and repulsion, every round
-# pushed against every round pulled, 2-core x86-64); the pinned round counts
-# and the memory of the push state were set at 48.
+# fewer than n * w / _PUSH_CELLS, as a pull round's work grows with the n * w
+# cells of a slice w columns wide, whatever fell. One pushed arc cost about as
+# much as 10-25 cells of a pull round (Sierpinski 5 and a 64 x 64 grid, hop
+# and repulsion, every round pushed against every round pulled, 2-core
+# x86-64); the pinned round counts and the memory of the push state were set
+# at 48.
 _PUSH_CELLS = 48
+# graphs of fewer nodes relax in one slice in this process: two forked
+# slices took 19 against 15 ms on a random 2048-node graph under hop and 35
+# against 30 ms under repulsion, broke about even at 2560 nodes, and won on
+# the 2859-node graph (24 against 30 ms under hop) and Sierpinski 5 (44
+# against 68 ms) (min of 5 calls, 2-core x86-64)
+_FORK_NODES = 2560
 # matrix cells a pull round lowers at once (at most 256 KB, which stays in cache)
 _PULL_CELLS = 1 << 15
+# arcs per row whose neighbour rows a pull round gathers at once; one gather
+# per arc took Sierpinski 5 from 68 to 83 ms under hop and from 132 to 158 ms
+# under repulsion, and a 64 x 64 grid from 575 to 687 ms under hop (min of 3
+# calls, one slice, 2-core x86-64)
+_PULL_ARCS = 16
 # matrix cells a scan of the whole matrix reads at once (a block's flat
 # indices take at most 2 MB)
 _BLOCK_CELLS = 1 << 18
@@ -84,6 +101,7 @@ class DistanceMatrix:
     ``dist`` is a read-only (n, n) array of exact integers, in the narrowest
     of uint8, int16, int32 and int64 that holds the kernel's sums (see
     ``_matrix_dtype``); widen it before arithmetic that could pass that type.
+    Where forked workers relaxed it, it lies in a shared anonymous mapping.
     For the repulsion metric the diameter is the largest smallest-force path.
     """
 
@@ -133,31 +151,35 @@ def _arc_slots(indptr, u) -> tuple[np.ndarray, np.ndarray]:
     return slot, deg
 
 
-def _eccentricity(indptr, indices) -> int:
-    """Hops from node 0 to the node farthest from it, by a breadth-first
-    search over the CSR arrays, a whole frontier at a time."""
-    seen = np.zeros(indptr.size - 1, dtype=bool)
-    seen[0] = True
+def _eccentricity(indptr, indices, weights) -> int:
+    """The smallest force from node 0 to the node farthest from it, by a
+    Bellman–Ford over the CSR arrays that relaxes, each round, the arcs out
+    of the nodes that fell in the last one (a breadth-first search under
+    unit weights)."""
+    dist = np.full(indptr.size - 1, np.iinfo(np.int64).max)
+    dist[0] = 0
     frontier = np.zeros(1, dtype=indptr.dtype)
-    ecc = -1
     while frontier.size:
-        ecc += 1
-        slot, _ = _arc_slots(indptr, frontier)
-        frontier = np.unique(indices[slot])
-        frontier = frontier[~seen[frontier]]
-        seen[frontier] = True
-    return ecc
+        slot, deg = _arc_slots(indptr, frontier)
+        force = np.repeat(dist[frontier], deg) + weights[slot]
+        head = indices[slot]
+        lower = force < dist[head]
+        head = head[lower]
+        np.minimum.at(dist, head, force[lower])
+        frontier = np.unique(head)
+    return int(dist.max())
 
 
 def _matrix_dtype(top: int) -> np.dtype:
     """The first of uint8, int16, int32 and int64 that holds ``top``.
 
-    ``_repulsion_matrix`` passes ``(hops + 1) * wmax + 1``, where ``hops`` is
-    the smaller of ``n - 1`` and ``2 * ecc``, ecc being the eccentricity of
-    node 0: both bound the hop diameter. Every shortest path is no heavier
-    than a fewest-hop path, of at most ``hops`` arcs; so ``hops * wmax + 1``
-    marks a cell unreached, every cell stays at or below it, and every cell
-    plus an arc weight at or below ``top``.
+    ``_repulsion_matrix`` passes ``unreached + wmax``, where ``unreached`` is
+    one more than the smaller of ``2 * ecc`` and ``(n - 1) * wmax``, ecc
+    being node 0's smallest-force eccentricity: both bound every distance,
+    the first by the triangle inequality through node 0, the second as a
+    path's at most ``n - 1`` arcs. Cells start at ``unreached`` and only
+    fall, so every sum the kernel forms, a cell plus an arc weight, is at
+    most ``top``.
     """
     for dtype in (np.uint8, np.int16, np.int32, np.int64):
         if top <= np.iinfo(dtype).max:
@@ -165,40 +187,82 @@ def _matrix_dtype(top: int) -> np.dtype:
     raise ValueError(f"path sums up to {top} would overflow int64")
 
 
-def _repulsion_matrix(indptr, indices, weights) -> tuple[np.ndarray, int, int]:
+def _shared_matrix(n: int, dtype: np.dtype) -> np.ndarray:
+    """An n x n matrix in an anonymous shared mapping, which forked workers
+    write into; a mapping that cannot be made raises MemoryError."""
+    import mmap  # here, so that importing the package does not pay for it
+
+    size = n * n * dtype.itemsize
+    try:
+        buf = mmap.mmap(-1, size)
+    except OSError as exc:
+        raise MemoryError(f"cannot map the {size}-byte distance matrix: {exc}") from exc
+    return np.frombuffer(buf, dtype=dtype).reshape(n, n)
+
+
+def _repulsion_matrix(indptr, indices, weights, slices: int = 1) -> tuple[np.ndarray, list]:
     """Smallest-force distances of a connected weighted CSR graph, relaxed
     from all sources at once; unit weights give hops.
 
-    Returns the (n, n) matrix in ``_matrix_dtype``, the number of rounds and
-    how many of them pulled. Each round runs whichever step is cheaper for
-    the cells that fell in the last one; the rounds stop when one changes
-    nothing.
+    Returns the (n, n) matrix in ``_matrix_dtype`` and, for each of
+    ``slices`` column slices, relaxed on its own forked worker when there
+    are several, its rounds, how many of them pulled, and its largest cell.
     """
     n = indptr.size - 1
-    degree = np.diff(indptr)
+    weights = np.asarray(weights, dtype=np.int64)
     wmax = int(weights.max(initial=0))
-    unreached = min(n - 1, 2 * _eccentricity(indptr, indices)) * wmax + 1
+    bound = (n - 1) * wmax
+    # Bellman–Ford's sums reach at most n * wmax; past int64 the path bound
+    # stands alone, and _matrix_dtype refuses it
+    if n * wmax <= np.iinfo(np.int64).max:
+        bound = min(bound, 2 * _eccentricity(indptr, indices, weights))
+    unreached = bound + 1
     weights = weights.astype(_matrix_dtype(unreached + wmax))
     groups = _degree_groups(indptr, indices, weights)
-    mat = np.full((n, n), unreached, dtype=weights.dtype)
-    np.fill_diagonal(mat, 0)
+    # one slice fills private memory, which may take huge pages (a shared
+    # mapping took 4.7 against 1.2 ms to fill Sierpinski 5's 16 MB)
+    mat = _shared_matrix(n, weights.dtype) if slices > 1 else np.empty((n, n), weights.dtype)
+    cuts = [(n * i // slices, n * (i + 1) // slices) for i in range(slices)]
+    state = (mat, indptr, indices, weights, groups, unreached)
+    return mat, fork_map(_relax, cuts, slices, state)
+
+
+def _relax(mat, indptr, indices, weights, groups, unreached, cut) -> tuple[int, int, int]:
+    """Fill columns ``a:z`` of ``mat`` with the distances to sources a to
+    z - 1, in place; returns the rounds, how many pulled, and the largest cell.
+
+    Each round runs whichever step is cheaper for the cells that fell in the
+    last one, weighed against the slice's n * (z - a) cells; the rounds stop
+    when one changes nothing. A column only ever reads itself, so slices
+    relax apart.
+    """
+    a, z = cut
+    n = mat.shape[0]
+    cells = n * (z - a)
+    degree = np.diff(indptr)
+    flat = mat.reshape(-1)
+    mat[:, a:z] = unreached
     # the cells that fell in the last round, as flat indices while they are few
-    keys: np.ndarray | None = np.arange(n) * (n + 1)
-    cost = indices.size  # arcs to push from those cells
+    keys: np.ndarray | None = np.arange(a, z) * (n + 1)
+    flat[keys] = 0
+    cost = int(indptr[z] - indptr[a])  # arcs to push from those cells
     rounds = pulled = 0
     while cost:
         rounds += 1
-        if keys is not None and cost * _PUSH_CELLS < n * n:
-            keys = _push_round(indptr, indices, weights, mat.reshape(-1), keys)
+        if keys is not None and cost * _PUSH_CELLS < cells:
+            keys = _push_round(indptr, indices, weights, flat, keys)
             cost = int(degree[keys // n].sum())
         else:
             pulled += 1
-            cost, keys = _pull_round(groups, mat)
-    return mat, rounds, pulled
+            cost, keys = _pull_round(groups, mat, a, z)
+    return rounds, pulled, int(mat[:, a:z].max(initial=0))
 
 
 def _push_round(indptr, indices, weights, flat, keys) -> np.ndarray:
-    """Relax the arcs out of the cells at ``keys``; returns the cells that fell."""
+    """Relax the arcs out of the cells at ``keys``; returns the cells that fell.
+
+    A cell's arcs lead to cells of its own column, so a slice's keys stay in it.
+    """
     n = indptr.size - 1
     u, s = np.divmod(keys, n)
     slot, deg = _arc_slots(indptr, u)
@@ -213,14 +277,17 @@ def _push_round(indptr, indices, weights, flat, keys) -> np.ndarray:
     return key[np.diff(key, prepend=-1) != 0]
 
 
-def _pull_round(groups, mat) -> tuple[int, np.ndarray | None]:
-    """Lower each row, in place, to its neighbours' rows plus the arc weight.
+def _pull_round(groups, mat, a, z) -> tuple[int, np.ndarray | None]:
+    """Lower each row's columns ``a:z``, in place, to its neighbours' plus the arc weight.
 
     Returns how many arcs leave the cells that fell, and those cells as flat
-    indices while their arcs number fewer than ``n * n / _PUSH_CELLS``, else None.
+    indices of ``mat`` while their arcs number fewer than
+    ``n * (z - a) / _PUSH_CELLS``, else None.
     """
     n = mat.shape[0]
-    step = max(1, _PULL_CELLS // n)
+    cols = mat[:, a:z]
+    width = z - a
+    step = max(1, _PULL_CELLS // width)
     cost = 0
     # an empty first entry, so that a round where nothing fell still joins keys
     fell: list[np.ndarray] | None = [np.empty(0, dtype=np.int64)]
@@ -228,22 +295,26 @@ def _pull_round(groups, mat) -> tuple[int, np.ndarray | None]:
         # every row of a group has d arcs, so a block's cells that fell
         # leave d times their number of arcs
         d = nbrs.shape[1]
-        for a in range(0, nodes.size, step):
-            rows = nodes[a : a + step]
-            low = mat[rows]
-            for j in range(d):
-                np.minimum(low, mat[nbrs[a : a + step, j]] + wts[a : a + step, j, None], out=low)
-            down = low < mat[rows]
-            mat[rows] = low
+        for b in range(0, nodes.size, step):
+            rows = nodes[b : b + step]
+            low = cols[rows]
+            # the neighbours' rows are read as they were before the block,
+            # _PULL_ARCS of each row's arcs at a time
+            for c in range(0, d, _PULL_ARCS):
+                near = cols[nbrs[b : b + step, c : c + _PULL_ARCS]]
+                near += wts[b : b + step, c : c + _PULL_ARCS, None]
+                np.minimum(low, near.min(axis=1), out=low)
+            down = low < cols[rows]
+            cols[rows] = low
             # a flat count and a flat nonzero: per-row counts and a 2-d nonzero
             # took almost half of a Sierpinski 5 round
             fallen = int(np.count_nonzero(down))
             if not fallen:
                 continue
             cost += d * fallen
-            if fell is not None and cost * _PUSH_CELLS < n * n:
-                i, j = np.divmod(np.flatnonzero(down), n)
-                fell.append(rows[i] * n + j)
+            if fell is not None and cost * _PUSH_CELLS < n * width:
+                i, j = np.divmod(np.flatnonzero(down), width)
+                fell.append(rows[i] * n + (j + a))
             else:
                 fell = None
     return cost, None if fell is None else np.concatenate(fell, dtype=np.int64)
@@ -267,13 +338,17 @@ def _resolve(g: Graph | WeightedGraph, metric: str | None):
     raise ValueError(f"unknown metric {metric!r}")
 
 
-def all_pairs(g: Graph | WeightedGraph, metric: str | None = None) -> DistanceMatrix:
+def all_pairs(g: Graph | WeightedGraph, metric: str | None = None, workers: int = 1) -> DistanceMatrix:
     """All-pairs distance matrix under the chosen metric.
 
     Both metrics run one relaxation from all sources at once, in rounds that
     each pull or push; hops relax unit weights. The full symmetric matrix is
     stored densely, in the narrowest integer type that provably holds it, and
-    is returned as it is, not widened.
+    is returned as it is, not widened. Graphs of at least ``_FORK_NODES``
+    nodes split its columns into one slice per worker, at most one per
+    usable CPU, each relaxed on a forked process; a worker that dies raises
+    ``concurrent.futures.process.BrokenProcessPool``. The matrix is the same
+    for any worker count.
     Refuses matrices above ``MAX_CELLS`` cells; analyze a subsample of larger
     graphs. Logs one debug line per call.
     """
@@ -288,12 +363,15 @@ def all_pairs(g: Graph | WeightedGraph, metric: str | None = None) -> DistanceMa
     if not is_connected(graph):
         raise ValueError("graph must be connected; extract the largest component first")
     start = time.perf_counter()
-    mat, rounds, pulled = _repulsion_matrix(graph.indptr, graph.indices, weights)
+    slices = usable_workers(workers) if n >= _FORK_NODES else 1
+    mat, runs = _repulsion_matrix(graph.indptr, graph.indices, weights, slices)
     mat.setflags(write=False)
-    diameter = int(mat.max())
+    diameter = max(top for _, _, top in runs)
     logger.debug(
-        "all-pairs %s: n = %d, diameter %d, %d rounds (%d pulled, %d pushed), %.3f s",
-        kind, n, diameter, rounds, pulled, rounds - pulled, time.perf_counter() - start,
+        "all-pairs %s: n = %d, diameter %d, %d slice%s: %s, %.3f s",
+        kind, n, diameter, slices, "s" if slices > 1 else "",
+        "; ".join(f"{r} rounds ({p} pulled, {r - p} pushed)" for r, p, _ in runs),
+        time.perf_counter() - start,
     )
     return DistanceMatrix(metric_kind=kind, dist=mat, diameter=diameter)
 

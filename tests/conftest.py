@@ -240,3 +240,20 @@ def die_on_trial(monkeypatch, trial: int) -> None:
         return trial_counts(plan, n, master_seed, t)
 
     monkeypatch.setattr(covering, "_trial_counts", dying)
+
+
+def die_on_slice(monkeypatch, first: int) -> None:
+    """Make the all-pairs column slice that starts at ``first`` kill the
+    worker process that relaxes it; in the calling process it fails instead."""
+    from boxdim import metrics
+
+    relax = metrics._relax
+    parent = os.getpid()
+
+    def dying(*args):
+        if args[-1][0] == first:
+            assert os.getpid() != parent, "the slice ran in the calling process"
+            os._exit(1)
+        return relax(*args)
+
+    monkeypatch.setattr(metrics, "_relax", dying)

@@ -15,6 +15,7 @@ from boxdim import cli, covering, dimension, graphs, metrics
 from boxdim.cli import main, write_series_csv
 
 from conftest import (
+    die_on_slice,
     die_on_trial,
     floyd_warshall,
     graph_weighted_edges,
@@ -161,6 +162,42 @@ class TestDim:
         assert code == 3
         assert "worker process died" in stderr
 
+    def test_dead_all_pairs_worker_exit_3(self, tmp_path, capsys, monkeypatch):
+        set_usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(metrics, "_FORK_NODES", 1)
+        die_on_slice(monkeypatch, 128)  # the second of 256 columns
+        with time_limit(60):
+            code, _, stderr = run_cli(
+                [
+                    "dim", "--gen", "sierpinski:3", "--method", "hop", "--trials", "2",
+                    "--csv", str(tmp_path / "s.csv"), "--json", str(tmp_path / "s.json"),
+                    "--threads", "2",
+                ],
+                capsys,
+            )
+        assert code == 3
+        assert "analysis error: a worker process died" in stderr
+
+    def test_unmappable_matrix_exit_3(self, tmp_path, capsys, monkeypatch):
+        import mmap
+
+        def failing(*args, **kwargs):
+            raise OSError(12, "Cannot allocate memory")
+
+        set_usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(metrics, "_FORK_NODES", 1)
+        monkeypatch.setattr(mmap, "mmap", failing)
+        code, _, stderr = run_cli(
+            [
+                "dim", "--gen", "sierpinski:3", "--method", "hop", "--trials", "2",
+                "--csv", str(tmp_path / "s.csv"), "--json", str(tmp_path / "s.json"),
+                "--threads", "2",
+            ],
+            capsys,
+        )
+        assert code == 3
+        assert "analysis error: cannot map the 65536-byte distance matrix" in stderr
+
     def test_missing_file_exit_2(self, tmp_path, capsys):
         missing = tmp_path / "absent.txt"
         code, _, stderr = run_cli(["dim", "--input", str(missing)], capsys)
@@ -271,6 +308,27 @@ class TestDim:
             assert code == 0
             blobs.append(csv.read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]
+
+    @pytest.mark.parametrize("method", ["hop", "repulsion"])
+    def test_byte_identical_outputs_across_all_pairs_slices(self, tmp_path, capsys, monkeypatch, method):
+        # every graph forks its all-pairs here: one slice and two give the
+        # same CSV and the same --dump-matrix bytes
+        set_usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(metrics, "_FORK_NODES", 1)
+        blobs = []
+        for threads in ("1", "2"):
+            out = [tmp_path / f"{threads}.csv", tmp_path / f"{threads}.matrix.csv"]
+            code, _, _ = run_cli(
+                [
+                    "dim", "--gen", "sierpinski:2", "--method", method, "--trials", "20",
+                    "--csv", str(out[0]), "--json", str(tmp_path / f"{threads}.json"),
+                    "--threads", threads, "--dump-matrix", str(out[1]),
+                ],
+                capsys,
+            )
+            assert code == 0
+            blobs.append([path.read_bytes() for path in out])
+        assert blobs[0] == blobs[1]
 
     def test_dump_matrix(self, karate_file, tmp_path, capsys, monkeypatch):
         matrices = track_calls(monkeypatch, metrics, "all_pairs")

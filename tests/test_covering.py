@@ -376,14 +376,19 @@ class TestGreedyCorePaths:
 
     def test_int16_and_int32_distances_match_dense_rule(self):
         # repulsion on a random graph fits int16; two adjacent hubs of 40
-        # leaves each on a 30-node path from node 0 (a 1764 force and a 29-hop
-        # eccentricity) keep it in int32. Each is walked by the reach rows
-        # alone, then by the lists alone, and both follow the rule
+        # leaves each on a 30-node path from node 0, each force times 20 (a
+        # 35 280 force), have a 40 640 diameter, which needs int32. Each is
+        # walked by the reach rows alone, then by the lists alone, and both
+        # follow the rule
         path = [(i, i + 1) for i in range(29)]
         leaves = [(hub, 30 + 40 * k + i) for k, hub in enumerate((10, 11)) for i in range(40)]
-        graphs = [random_connected_graph(120, 60, seed=11), bd.Graph.from_edges(110, path + leaves)]
-        for g, dtype in zip(graphs, (np.int16, np.int32)):
-            dm = bd.all_pairs(bd.edge_repulsive_force(g), bd.REPULSION)
+        hubs = bd.edge_repulsive_force(bd.Graph.from_edges(110, path + leaves))
+        graphs = [
+            bd.edge_repulsive_force(random_connected_graph(120, 60, seed=11)),
+            bd.WeightedGraph(graph=hubs.graph, weights=hubs.weights * 20),
+        ]
+        for wg, dtype in zip(graphs, (np.int16, np.int32)):
+            dm = bd.all_pairs(wg, bd.REPULSION)
             assert dm.dist.dtype == dtype
             sizes = bd.build_schedule(dm).values
             for limit, step in zip(SHORT_LIST_LIMITS, (covering._Reach, covering._SideLists)):

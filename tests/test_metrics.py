@@ -1,6 +1,10 @@
+import concurrent.futures
+import errno
 import logging
+import mmap
 import re
 import tracemalloc
+from concurrent.futures.process import BrokenProcessPool
 from itertools import combinations
 
 import numpy as np
@@ -14,10 +18,13 @@ from boxdim import metrics
 from conftest import (
     bfs_row,
     csr_rows,
+    die_on_slice,
     dijkstra_row,
     floyd_warshall,
     graph_weighted_edges,
     random_connected_graph,
+    set_usable_cpus,
+    time_limit,
 )
 
 # push limits that run every round by pushing the cells that fell, the
@@ -54,14 +61,16 @@ def centred_path(n: int) -> bd.Graph:
     return bd.Graph.from_edges(n, [tuple(sorted(e)) for e in zip(order, order[1:])])
 
 
-def matrix_dtype(g: bd.Graph, wmax: int) -> np.dtype:
+def matrix_dtype(g: bd.Graph, weights: np.ndarray) -> np.dtype:
     """The type the matrix must come in: the first of uint8, int16, int32 and
-    int64 that holds (hops + 1) * wmax + 1, the largest sum the kernel can
-    form, where hops, the smaller of n - 1 and twice node 0's eccentricity,
-    bounds the number of arcs on a fewest-hop path."""
+    int64 that holds min(2 * ecc, (n - 1) * wmax) + 1 + wmax, the largest sum
+    the kernel can form, where ecc is node 0's eccentricity under the arc
+    weights and wmax the largest of them; both terms of the min bound every
+    distance."""
     n = g.node_count
-    ecc = max(bfs_row(csr_rows(g), 0, n))
-    top = (min(n - 1, 2 * ecc) + 1) * wmax + 1
+    wmax = int(weights.max(initial=0))
+    ecc = max(dijkstra_row(csr_rows(g, weights), 0, n))
+    top = min(2 * ecc, (n - 1) * wmax) + 1 + wmax
     return next(np.dtype(t) for t in (np.uint8, np.int16, np.int32, np.int64)
                 if top <= np.iinfo(t).max)
 
@@ -73,19 +82,20 @@ def kernel_all_pairs(arg: bd.Graph | bd.WeightedGraph, metric: str, setting: str
     repulsion_matrix = metrics._repulsion_matrix
     runs = []
 
-    def recorded(indptr, indices, weights):
-        out = repulsion_matrix(indptr, indices, weights)
-        runs.append(out[1:])
+    def recorded(indptr, indices, weights, slices):
+        out = repulsion_matrix(indptr, indices, weights, slices)
+        runs.append(out[1])
         return out
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(metrics, "_PUSH_CELLS", push_cells)
         mp.setattr(metrics, "_repulsion_matrix", recorded)
         dm = bd.all_pairs(arg, metric)
-    ((rounds, pulled),) = runs
-    wmax = int(arg.weights.max(initial=0)) if metric == bd.REPULSION else 1
+    # one call, of one slice
+    [[(rounds, pulled, _)]] = runs
     graph = arg.graph if isinstance(arg, bd.WeightedGraph) else arg
-    assert dm.dist.dtype == matrix_dtype(graph, wmax) and not dm.dist.flags.writeable
+    weights = arg.weights if metric == bd.REPULSION else np.ones_like(graph.indices)
+    assert dm.dist.dtype == matrix_dtype(graph, weights) and not dm.dist.flags.writeable
     if push_cells == 0:
         assert pulled == 0
     elif push_cells == 10**18:
@@ -221,14 +231,14 @@ class TestAllPairs:
         lines = [r.getMessage() for r in caplog.records if r.name == "boxdim.metrics"]
         assert len(lines) == 2
         hop = re.fullmatch(
-            r"all-pairs hop: n = 65, diameter 64, (\d+) rounds "
+            r"all-pairs hop: n = 65, diameter 64, 1 slice: (\d+) rounds "
             r"\((\d+) pulled, (\d+) pushed\), \d+\.\d{3} s",
             lines[0],
         )
         assert hop and int(hop[2]) + int(hop[3]) == int(hop[1]) > 0
         # end edges weigh 1 * 2, the 62 inner ones 2 * 2
         rep = re.fullmatch(
-            r"all-pairs repulsion: n = 65, diameter 252, (\d+) rounds "
+            r"all-pairs repulsion: n = 65, diameter 252, 1 slice: (\d+) rounds "
             r"\((\d+) pulled, (\d+) pushed\), \d+\.\d{3} s",
             lines[1],
         )
@@ -316,6 +326,13 @@ def path_forces(*forces: int) -> bd.WeightedGraph:
     return bd.WeightedGraph(graph=g, weights=np.array([forces[min(e)] for e in ends]))
 
 
+def star_forces(*forces: int) -> bd.WeightedGraph:
+    """A star, from its hub, node 0, built directly with the given edge forces."""
+    g = star_graph(len(forces))
+    ends = zip(g.arc_rows.tolist(), g.indices.tolist())
+    return bd.WeightedGraph(graph=g, weights=np.array([forces[max(e) - 1] for e in ends]))
+
+
 def hops(g: bd.Graph) -> bd.WeightedGraph:
     """The graph with every arc weighing 1, the weights the hop metric runs on."""
     return bd.WeightedGraph(graph=g, weights=np.ones_like(g.indices))
@@ -334,14 +351,22 @@ def hops(g: bd.Graph) -> bd.WeightedGraph:
         (lambda: hops(star_graph(299)), bd.HOP, np.uint8),
         (lambda: weighted(star_graph(84)), bd.REPULSION, np.uint8),
         (lambda: weighted(star_graph(85)), bd.REPULSION, np.int16),
-        # 4 * 8191 + 1 = 32765; 4 * 8192 + 1 = 32769
-        (lambda: path_forces(8191, 5, 1), bd.REPULSION, np.int16),
-        (lambda: path_forces(8192, 5, 1), bd.REPULSION, np.int32),
+        # from one end of a path of forces (x, 1), (n - 1) * wmax = 2x is the
+        # smaller bound: 3 * 10922 + 1 = 32767; 3 * 10923 + 1 = 32770
+        (lambda: path_forces(10922, 1), bd.REPULSION, np.int16),
+        (lambda: path_forces(10923, 1), bd.REPULSION, np.int32),
+        # from the hub of a star of forces (x, 5, 1), 2 * ecc = 2x is
+        (lambda: star_forces(10922, 5, 1), bd.REPULSION, np.int16),
+        (lambda: star_forces(10923, 5, 1), bd.REPULSION, np.int32),
+        # 3 * 715827882 + 1 = 2**31 - 1
+        (lambda: path_forces(715827882, 1), bd.REPULSION, np.int32),
+        (lambda: path_forces(715827883, 1), bd.REPULSION, np.int64),
         (lambda: path_forces(2**31 - 1, 2**31 - 7, 3), bd.REPULSION, np.int64),
     ],
     ids=[
         "hop path 254", "hop path 255", "hop centred path 253", "hop centred path 255",
-        "hop star 299", "star 84", "star 85", "forces 8191", "forces 8192",
+        "hop star 299", "star 84", "star 85", "forces 10922", "forces 10923",
+        "hub forces 10922", "hub forces 10923", "forces 715827882", "forces 715827883",
         "forces near 2**31",
     ],
 )
@@ -383,7 +408,7 @@ def test_rounds_pinned(shape, metric):
     for setting, push_cells in REPULSION_SETTINGS.items():
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(metrics, "_PUSH_CELLS", push_cells)
-            _, rounds, pulled = metrics._repulsion_matrix(g.indptr, g.indices, w)
+            _, [(rounds, pulled, _)] = metrics._repulsion_matrix(g.indptr, g.indices, w)
         assert (rounds, pulled) == PINNED_ROUNDS[shape, metric][setting]
 
 
@@ -445,7 +470,7 @@ def test_pull_round_matches_reference(shape, metric, setting, pull_cells):
         cost = None
         while cost != 0:
             rounds += 1
-            cost, keys = metrics._pull_round(groups, mat)
+            cost, keys = metrics._pull_round(groups, mat, 0, n)
             want_cost, want_keys = reference_pull_round(groups, ref, np.diff(g.indptr))
             assert type(cost) is int and cost == want_cost
             if want_keys is None:
@@ -470,6 +495,94 @@ def test_all_pairs_holds_little_beside_the_matrix():
         tracemalloc.stop()
     assert dm.dist.dtype == np.uint8
     assert peak < 1.5 * dm.dist.nbytes
+
+
+# mixed-degree random graphs, a hub and a grid, small enough for the
+# Floyd–Warshall oracle; none has a node count divisible by 2 and 3 both,
+# so three slices are of unequal widths
+SLICE_SHAPES = {
+    "random 50 nodes": lambda: random_connected_graph(50, 70, seed=4),
+    "random 67 nodes": lambda: random_connected_graph(67, 20, seed=5),
+    "star 40": lambda: star_graph(39),
+    "grid 8x8": lambda: grid_graph(8),
+}
+
+
+def relaxed_in_cuts(arg, metric: str, cuts) -> bd.DistanceMatrix:
+    """``all_pairs`` with the columns relaxed in the given slices, one after
+    another in this process."""
+
+    def in_cuts(fn, items, workers, state):
+        return [fn(*state, cut) for cut in cuts]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "fork_map", in_cuts)
+        return bd.all_pairs(arg, metric)
+
+
+@pytest.mark.parametrize("metric", [bd.HOP, bd.REPULSION])
+@pytest.mark.parametrize("shape", list(SLICE_SHAPES))
+def test_column_slices_match_one_slice(shape, metric, monkeypatch, caplog):
+    # under every push limit, two and three slices on forked workers, and
+    # hand-cut slices of 1, about n / 2 and the rest in this process, give
+    # the one-slice matrix and diameter, and that matrix is the oracle's
+    g = SLICE_SHAPES[shape]()
+    n = g.node_count
+    arg = weighted(g) if metric == bd.REPULSION else g
+    oracle = floyd_warshall(n, graph_weighted_edges(g, metric))
+    set_usable_cpus(monkeypatch, 3)
+    monkeypatch.setattr(metrics, "_FORK_NODES", 1)
+    for setting, push_cells in REPULSION_SETTINGS.items():
+        one = kernel_all_pairs(arg, metric, setting)
+        assert one.dist.tolist() == oracle
+        monkeypatch.setattr(metrics, "_PUSH_CELLS", push_cells)
+        sliced = [relaxed_in_cuts(arg, metric, [(0, 1), (1, n // 2 + 3), (n // 2 + 3, n)])]
+        for workers in (2, 3):
+            caplog.clear()
+            # three workers outnumber the cores of a 2-core machine
+            with time_limit(60), caplog.at_level(logging.DEBUG, logger="boxdim.metrics"):
+                sliced.append(bd.all_pairs(arg, metric, workers))
+            assert f"diameter {one.diameter}, {workers} slices: " in caplog.records[-1].getMessage()
+        for dm in sliced:
+            assert dm.dist.dtype == one.dist.dtype and not dm.dist.flags.writeable
+            assert np.array_equal(dm.dist, one.dist) and dm.diameter == one.diameter
+
+
+def test_dead_slice_worker_raises_instead_of_hanging(monkeypatch):
+    set_usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(metrics, "_FORK_NODES", 1)
+    die_on_slice(monkeypatch, 50)  # the second of 100 columns
+    with time_limit(60), pytest.raises(BrokenProcessPool):
+        bd.all_pairs(grid_graph(10), bd.HOP, workers=2)
+
+
+def test_small_graph_starts_no_pool(karate, monkeypatch):
+    # below _FORK_NODES the columns relax in one slice in this process
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    set_usable_cpus(monkeypatch, 4)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    dm = bd.all_pairs(karate, bd.HOP, workers=4)
+    n, nbrs = karate.node_count, csr_rows(karate)
+    assert dm.dist.tolist() == [bfs_row(nbrs, s, n) for s in range(n)]
+
+
+def test_unmappable_matrix_raises_memory_error(monkeypatch):
+    # the shared matrix of forked slices is a mapping; one that cannot be
+    # made is refused as MemoryError, before any worker starts
+    def failing(*args, **kwargs):
+        raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    set_usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(metrics, "_FORK_NODES", 1)
+    monkeypatch.setattr(mmap, "mmap", failing)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    with pytest.raises(MemoryError, match="cannot map the 10000-byte distance matrix"):
+        bd.all_pairs(grid_graph(10), bd.HOP, workers=2)
 
 
 class TestDistinctDistances:
