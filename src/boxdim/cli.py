@@ -24,7 +24,7 @@ from .dimension import DEFAULT_MAX_POINTS, DegenerateScalingError, analyze_matri
 from .generators import MAX_SIERPINSKI_LEVEL, generate_sierpinski
 from .graphs import EdgeListError, Graph, largest_component, read_edge_list, save_edge_list
 from .metrics import HOP, REPULSION, DistanceMatrix, all_pairs, edge_repulsive_force
-from .pool import usable_cpus
+from .pool import usable_workers
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -35,10 +35,6 @@ logger = logging.getLogger(__name__)
 
 class InputError(Exception):
     """User-facing input problem (bad file, bad generator spec, bad level)."""
-
-
-def _default_threads() -> int:
-    return min(usable_cpus(), 8)
 
 
 def _add_run_options(p: argparse.ArgumentParser) -> None:
@@ -81,7 +77,8 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--dump-matrix",
         metavar="PATH",
-        help="also write the distance matrix as CSV (row per node)",
+        help="also write the distance matrix as CSV (row per node); "
+        "compare writes only the repulsion matrix",
     )
 
 
@@ -204,7 +201,7 @@ def _run_analysis(args, methods: list[str]) -> int:
     dataset, graph = _load_input(args)
     # once for every method, so a disconnected input is reported once
     comp = largest_component(graph)
-    threads = _default_threads() if args.threads is None else min(args.threads, usable_cpus())
+    threads = usable_workers(8 if args.threads is None else args.threads)
     fit_range = tuple(args.fit_range) if args.fit_range else None
     started = time.perf_counter()
 

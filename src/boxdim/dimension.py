@@ -256,6 +256,12 @@ def analyze_matrix(
             raise DegenerateScalingError(
                 f"degenerate scaling range: {len(values)} box size(s) >= {min_box_size}"
             )
+    if fit_range is not None:  # refused before the trials run, as estimate_dimension would after
+        kept = sum(fit_range[0] <= v <= fit_range[1] for v in values)
+        if kept < 3:
+            raise DegenerateScalingError(
+                f"degenerate scaling range: {kept} point(s) in fit range (need 3)"
+            )
     counts = covering_counts(dm, values, trials, seed, workers=workers)
     series = series_from_counts(dm, values, counts, dm.n, edge_count)
     estimate = estimate_dimension(series, fit_range)

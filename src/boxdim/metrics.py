@@ -25,9 +25,10 @@ ever combines a column with itself, so the columns split into slices that
 relax apart: on graphs of at least ``_FORK_NODES`` nodes, one slice per
 worker, each on a forked process, all writing into one matrix in a shared
 anonymous mapping. The matrix is held in the narrowest of uint8, int16, int32
-and int64 that provably holds every value the kernel forms, a bound set by one
-Bellman–Ford from node 0 (see ``_matrix_dtype``): uint8 for hops on at most
-254 nodes, or whenever node 0 lies at most 126 hops from every node.
+and int64 that provably holds every value the kernel forms, a bound set by node
+0's column, which the kernel relaxes first (see ``_matrix_dtype``): uint8 for
+hops on at most 254 nodes, or whenever node 0 lies at most 126 hops from every
+node. A node that column never reaches refuses the graph as disconnected.
 Whole-matrix scans, such as ``distinct_distances``, read it a block of rows at
 a time and copy none of it.
 """
@@ -141,35 +142,6 @@ def _degree_groups(indptr, indices, weights) -> list[tuple[np.ndarray, np.ndarra
     return groups
 
 
-def _arc_slots(indptr, u) -> tuple[np.ndarray, np.ndarray]:
-    """The arc index of every arc of each node in u, node by node, and each node's degree."""
-    deg = indptr[u + 1] - indptr[u]
-    ends = np.cumsum(deg)
-    # the k-th arc is arc k - (ends - deg)[i] of node u[i]
-    slot = np.repeat(indptr[u] + deg - ends, deg)
-    slot += np.arange(slot.size)
-    return slot, deg
-
-
-def _eccentricity(indptr, indices, weights) -> int:
-    """The smallest force from node 0 to the node farthest from it, by a
-    Bellman–Ford over the CSR arrays that relaxes, each round, the arcs out
-    of the nodes that fell in the last one (a breadth-first search under
-    unit weights)."""
-    dist = np.full(indptr.size - 1, np.iinfo(np.int64).max)
-    dist[0] = 0
-    frontier = np.zeros(1, dtype=indptr.dtype)
-    while frontier.size:
-        slot, deg = _arc_slots(indptr, frontier)
-        force = np.repeat(dist[frontier], deg) + weights[slot]
-        head = indices[slot]
-        lower = force < dist[head]
-        head = head[lower]
-        np.minimum.at(dist, head, force[lower])
-        frontier = np.unique(head)
-    return int(dist.max())
-
-
 def _matrix_dtype(top: int) -> np.dtype:
     """The first of uint8, int16, int32 and int64 that holds ``top``.
 
@@ -179,7 +151,8 @@ def _matrix_dtype(top: int) -> np.dtype:
     the first by the triangle inequality through node 0, the second as a
     path's at most ``n - 1`` arcs. Cells start at ``unreached`` and only
     fall, so every sum the kernel forms, a cell plus an arc weight, is at
-    most ``top``.
+    most ``top``. ecc is the largest cell of node 0's column, which the
+    kernel relaxes first from the path bound alone, typed here too.
     """
     for dtype in (np.uint8, np.int16, np.int32, np.int64):
         if top <= np.iinfo(dtype).max:
@@ -204,19 +177,24 @@ def _repulsion_matrix(indptr, indices, weights, slices: int = 1) -> tuple[np.nda
     """Smallest-force distances of a connected weighted CSR graph, relaxed
     from all sources at once; unit weights give hops.
 
-    Returns the (n, n) matrix in ``_matrix_dtype`` and, for each of
-    ``slices`` column slices, relaxed on its own forked worker when there
+    Node 0's column is relaxed first: its largest cell types the matrix, and
+    one left unreached refuses a disconnected graph before the matrix is
+    allocated. Returns the (n, n) matrix in ``_matrix_dtype`` and, for each
+    of ``slices`` column slices, relaxed on its own forked worker when there
     are several, its rounds, how many of them pulled, and its largest cell.
     """
     n = indptr.size - 1
     weights = np.asarray(weights, dtype=np.int64)
     wmax = int(weights.max(initial=0))
-    bound = (n - 1) * wmax
-    # Bellman–Ford's sums reach at most n * wmax; past int64 the path bound
-    # stands alone, and _matrix_dtype refuses it
-    if n * wmax <= np.iinfo(np.int64).max:
-        bound = min(bound, 2 * _eccentricity(indptr, indices, weights))
-    unreached = bound + 1
+    # a path of at most n - 1 arcs sums below far: a cell left there was never reached
+    far = (n - 1) * wmax + 1
+    weights = weights.astype(_matrix_dtype(far + wmax))
+    col = np.empty((n, 1), weights.dtype)
+    groups = _degree_groups(indptr, indices, weights)
+    _, _, ecc = _relax(col, indptr, indices, weights, groups, far, (0, 1))
+    if ecc == far:
+        raise ValueError("graph must be connected; extract the largest component first")
+    unreached = min(2 * ecc, far - 1) + 1
     weights = weights.astype(_matrix_dtype(unreached + wmax))
     groups = _degree_groups(indptr, indices, weights)
     # one slice fills private memory, which may take huge pages (a shared
@@ -237,37 +215,43 @@ def _relax(mat, indptr, indices, weights, groups, unreached, cut) -> tuple[int, 
     relax apart.
     """
     a, z = cut
-    n = mat.shape[0]
+    n, stride = mat.shape
     cells = n * (z - a)
     degree = np.diff(indptr)
     flat = mat.reshape(-1)
     mat[:, a:z] = unreached
     # the cells that fell in the last round, as flat indices while they are few
-    keys: np.ndarray | None = np.arange(a, z) * (n + 1)
+    keys: np.ndarray | None = np.arange(a, z) * (stride + 1)
     flat[keys] = 0
     cost = int(indptr[z] - indptr[a])  # arcs to push from those cells
     rounds = pulled = 0
     while cost:
         rounds += 1
         if keys is not None and cost * _PUSH_CELLS < cells:
-            keys = _push_round(indptr, indices, weights, flat, keys)
-            cost = int(degree[keys // n].sum())
+            keys = _push_round(indptr, indices, weights, mat, keys)
+            cost = int(degree[keys // stride].sum())
         else:
             pulled += 1
             cost, keys = _pull_round(groups, mat, a, z)
     return rounds, pulled, int(mat[:, a:z].max(initial=0))
 
 
-def _push_round(indptr, indices, weights, flat, keys) -> np.ndarray:
-    """Relax the arcs out of the cells at ``keys``; returns the cells that fell.
+def _push_round(indptr, indices, weights, mat, keys) -> np.ndarray:
+    """Relax the arcs out of the cells at ``keys``, flat indices of
+    ``mat``; returns the cells that fell.
 
     A cell's arcs lead to cells of its own column, so a slice's keys stay in it.
     """
-    n = indptr.size - 1
-    u, s = np.divmod(keys, n)
-    slot, deg = _arc_slots(indptr, u)
+    stride = mat.shape[1]
+    flat = mat.reshape(-1)
+    u, s = np.divmod(keys, stride)
+    deg = indptr[u + 1] - indptr[u]
+    ends = np.cumsum(deg)
+    # every arc of each cell's node, node by node: the k-th is arc k - (ends - deg)[i] of u[i]
+    slot = np.repeat(indptr[u] + deg - ends, deg)
+    slot += np.arange(slot.size)
     force = np.repeat(flat[keys], deg) + weights[slot]
-    key = indices[slot] * n + np.repeat(s, deg)
+    key = indices[slot] * stride + np.repeat(s, deg)
     lower = force < flat[key]
     key = key[lower]
     np.minimum.at(flat, key, force[lower])
@@ -284,7 +268,7 @@ def _pull_round(groups, mat, a, z) -> tuple[int, np.ndarray | None]:
     indices of ``mat`` while their arcs number fewer than
     ``n * (z - a) / _PUSH_CELLS``, else None.
     """
-    n = mat.shape[0]
+    n, stride = mat.shape
     cols = mat[:, a:z]
     width = z - a
     step = max(1, _PULL_CELLS // width)
@@ -314,7 +298,7 @@ def _pull_round(groups, mat, a, z) -> tuple[int, np.ndarray | None]:
             cost += d * fallen
             if fell is not None and cost * _PUSH_CELLS < n * width:
                 i, j = np.divmod(np.flatnonzero(down), width)
-                fell.append(rows[i] * n + (j + a))
+                fell.append(rows[i] * stride + (j + a))
             else:
                 fell = None
     return cost, None if fell is None else np.concatenate(fell, dtype=np.int64)
@@ -350,7 +334,8 @@ def all_pairs(g: Graph | WeightedGraph, metric: str | None = None, workers: int 
     ``concurrent.futures.process.BrokenProcessPool``. The matrix is the same
     for any worker count.
     Refuses matrices above ``MAX_CELLS`` cells; analyze a subsample of larger
-    graphs. Logs one debug line per call.
+    graphs, and a disconnected graph before its matrix is allocated. Logs
+    one debug line per call.
     """
     graph, weights, kind = _resolve(g, metric)
     n = graph.node_count
@@ -360,8 +345,6 @@ def all_pairs(g: Graph | WeightedGraph, metric: str | None = None, workers: int 
         raise ValueError(
             f"distance matrix would need {n * n} cells (cap {MAX_CELLS}); subsample the graph"
         )
-    if not is_connected(graph):
-        raise ValueError("graph must be connected; extract the largest component first")
     start = time.perf_counter()
     slices = usable_workers(workers) if n >= _FORK_NODES else 1
     mat, runs = _repulsion_matrix(graph.indptr, graph.indices, weights, slices)

@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 import boxdim as bd
-from boxdim.cli import _default_threads, main
+from boxdim.cli import main
+from boxdim.pool import usable_workers
 
 from conftest import (
     WORKED_EXAMPLE_TEXT,
@@ -116,7 +117,7 @@ def test_criterion_5_sierpinski_comparative_claim():
     started = time.perf_counter()
     g = bd.generate_sierpinski(5).graph
     assert g.node_count == 4096
-    workers = _default_threads()
+    workers = usable_workers(8)  # the CLI default
     _, rep = bd.analyze(g, method=bd.REPULSION, trials=100, seed=42, workers=workers)
     _, hop = bd.analyze(g, method=bd.HOP, trials=100, seed=42, workers=workers)
     elapsed = time.perf_counter() - started

@@ -13,6 +13,7 @@ import pytest
 import boxdim as bd
 from boxdim import cli, covering, dimension, graphs, metrics
 from boxdim.cli import main, write_series_csv
+from boxdim.pool import usable_workers
 
 from conftest import (
     die_on_slice,
@@ -472,29 +473,31 @@ class TestCompare:
 
 
 class TestDefaultThreads:
+    # the CLI runs usable_workers(8) when --threads is not given
     def test_counts_usable_cpus_not_machine_cpus(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 9}, raising=False)
-        assert cli._default_threads() == 3
+        assert usable_workers(8) == 3
 
     def test_falls_back_to_cpu_count(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 5)
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        assert cli._default_threads() == 5
+        assert usable_workers(8) == 5
 
     def test_threads_clamped_to_usable_cpus(self, tmp_path, capsys, monkeypatch):
         # Sierpinski 2 fits one word, so no process starts whatever the count
         set_usable_cpus(monkeypatch, 2)
-        js = tmp_path / "s.json"
-        code, _, _ = run_cli(
-            [
-                "dim", "--gen", "sierpinski:2", "--method", "hop", "--trials", "5",
-                "--csv", str(tmp_path / "s.csv"), "--json", str(js), "--threads", "500",
-            ],
-            capsys,
-        )
-        assert code == 0
-        assert json.loads(js.read_text())["config"]["threads"] == 2
+        for threads in ([], ["--threads", "500"]):
+            js = tmp_path / "s.json"
+            code, _, _ = run_cli(
+                [
+                    "dim", "--gen", "sierpinski:2", "--method", "hop", "--trials", "5",
+                    "--csv", str(tmp_path / "s.csv"), "--json", str(js), *threads,
+                ],
+                capsys,
+            )
+            assert code == 0
+            assert json.loads(js.read_text())["config"]["threads"] == 2
 
 
 def test_write_read_series_csv_round_trip(tmp_path, karate):

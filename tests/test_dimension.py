@@ -169,6 +169,17 @@ class TestAnalyze:
         assert series.stats[0].box_size == 2
         assert est.points_used == len(series.stats)
 
+    @pytest.mark.parametrize("fit_range", [(100000, 200000), (2, 3)])
+    def test_empty_fit_range_refused_before_the_trials(self, karate, monkeypatch, fit_range):
+        # karate hop sweeps 1..5: neither range keeps 3 sizes, so no trial may run
+        def no_trials(*args, **kwargs):
+            raise AssertionError("the covering trials ran")
+
+        dm = bd.all_pairs(karate, bd.HOP)
+        monkeypatch.setattr(bd.dimension, "covering_counts", no_trials)
+        with pytest.raises(DegenerateScalingError, match=r"\d point\(s\) in fit range \(need 3\)"):
+            bd.analyze_matrix(dm, karate.edge_count, trials=5, fit_range=fit_range)
+
     def test_sierpinski_comparative_claim_level4(self):
         g = bd.generate_sierpinski(4).graph
         target = math.log(3) / math.log(2)

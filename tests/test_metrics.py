@@ -184,9 +184,40 @@ class TestAllPairs:
         assert dm.diameter == 1
 
     def test_disconnected_rejected(self):
-        g = bd.Graph.from_edges(4, [(0, 1), (2, 3)])
-        with pytest.raises(ValueError, match="connected"):
-            bd.all_pairs(g, bd.HOP)
+        # two equal halves, node 0 isolated, and node 0 in the larger
+        # component, under both metrics and every push limit; repulsion is
+        # built directly, as edge_repulsive_force refuses these graphs itself
+        cases = [(4, [(0, 1), (2, 3)]), (3, [(1, 2)]), (5, [(0, 1), (1, 2), (3, 4)])]
+        for n, edges in cases:
+            g = bd.Graph.from_edges(n, edges)
+            deg = np.diff(g.indptr)
+            wg = bd.WeightedGraph(graph=g, weights=deg[g.arc_rows] * deg[g.indices])
+            for push_cells in REPULSION_SETTINGS.values():
+                for arg, metric in [(g, bd.HOP), (wg, bd.REPULSION)]:
+                    with pytest.MonkeyPatch.context() as mp:
+                        mp.setattr(metrics, "_PUSH_CELLS", push_cells)
+                        with pytest.raises(ValueError, match="graph must be connected"):
+                            bd.all_pairs(arg, metric)
+
+    @pytest.mark.parametrize("metric", [bd.HOP, bd.REPULSION])
+    def test_disconnected_refused_before_the_matrix(self, metric):
+        # two 1500-node paths: node 0's column finds the second unreached
+        # before anything of n x n cells is allocated; the column's state
+        # takes about 100 bytes a node
+        n = 3000
+        g = bd.Graph.from_edges(n, [(i, i + 1) for i in range(n - 1) if i != n // 2 - 1])
+        if metric == bd.REPULSION:
+            g = bd.WeightedGraph(graph=g, weights=np.full(g.indices.size, 4))
+        with pytest.raises(ValueError, match="graph must be connected"):
+            bd.all_pairs(g, metric)  # untraced: the first call may import numpy modules
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="graph must be connected"):
+                bd.all_pairs(g, metric)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n // 20
 
     def test_cell_cap(self, karate):
         with pytest.raises(ValueError, match="subsample"):
