@@ -23,7 +23,7 @@ from . import __version__
 from .dimension import DEFAULT_MAX_POINTS, DegenerateScalingError, analyze_matrix
 from .generators import MAX_SIERPINSKI_LEVEL, generate_sierpinski
 from .graphs import EdgeListError, Graph, largest_component, read_edge_list, save_edge_list
-from .metrics import HOP, REPULSION, DistanceMatrix, all_pairs, edge_repulsive_force
+from .metrics import HOP, REPULSION, DistanceMatrix, all_pairs
 from .pool import usable_workers
 
 EXIT_OK = 0
@@ -207,7 +207,7 @@ def _run_analysis(args, methods: list[str]) -> int:
 
     results = {}
     for method in methods:
-        dm = all_pairs(edge_repulsive_force(comp) if method == REPULSION else comp, method, threads)
+        dm = all_pairs(comp, method, threads)
         series, estimate = analyze_matrix(
             dm,
             comp.edge_count,

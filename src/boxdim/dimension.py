@@ -12,14 +12,7 @@ import numpy as np
 
 from .covering import TrialStatistics, covering_counts
 from .graphs import Graph, largest_component
-from .metrics import (
-    HOP,
-    REPULSION,
-    DistanceMatrix,
-    all_pairs,
-    distinct_distances,
-    edge_repulsive_force,
-)
+from .metrics import REPULSION, DistanceMatrix, all_pairs, distinct_distances
 
 ALL_DISTINCT = "all_distinct"
 LOG_SNAPPED = "log_snapped"
@@ -119,32 +112,16 @@ def build_schedule(dm: DistanceMatrix, max_points: int = DEFAULT_MAX_POINTS) -> 
     )
 
 
-def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
-    """Least squares line fit: (slope, intercept, r_squared, slope_stderr)."""
-    n = x.size
-    xc = x - x.mean()
-    yc = y - y.mean()
-    sxx = float(xc @ xc)
-    if sxx == 0.0:
-        raise ValueError("all box sizes identical; cannot fit")
-    slope = float(xc @ yc) / sxx
-    intercept = float(y.mean() - slope * x.mean())
-    resid = yc - slope * xc
-    ss_res = float(resid @ resid)
-    ss_tot = float(yc @ yc)
-    r_squared = 1.0 if ss_tot == 0.0 else max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
-    stderr = float(np.sqrt(ss_res / (n - 2) / sxx)) if n > 2 else float("nan")
-    return slope, intercept, r_squared, stderr
-
-
 def estimate_dimension(
     series: ScalingSeries, fit_range: tuple[float, float] | None = None
 ) -> DimensionEstimate:
-    """Fit log(mean N_B) vs log(box_size); the dimension is minus the slope.
+    """Fit log(N_B) vs log(box_size); the dimension is minus the slope.
 
     ``fit_range`` restricts the fit to box sizes in [lo, hi]; at least three
-    schedule points must remain. The per-trial spread is measured by
-    refitting each trial's own counts and taking the std of those slopes.
+    schedule points must remain. One least-squares pass fits the mean series
+    and each trial's own series: the mean's slope gives the dimension, r^2
+    and the slope's standard error, and the population std of the trials'
+    slopes gives ``dimension_std``, 0.0 for one trial.
     """
     stats = series.stats
     if fit_range is not None:
@@ -154,34 +131,30 @@ def estimate_dimension(
         raise DegenerateScalingError(
             f"degenerate scaling range: {len(stats)} point(s) in fit range (need 3)"
         )
-    sizes = np.array([s.box_size for s in stats], dtype=np.float64)
     means = np.array([s.mean for s in stats], dtype=np.float64)
     if (means <= 0).any():
         raise AssertionError("box counts must be positive")
-
-    x = np.log(sizes)
-    y = np.log(means)
-    slope, _, r_squared, stderr = _ols(x, y)
-
-    trials = stats[0].trials
-    if any(s.trials != trials for s in stats):
+    if any(s.trials != stats[0].trials for s in stats):
         raise ValueError("inconsistent trial counts across box sizes")
-    if trials > 1:
-        counts = np.stack([np.asarray(s.counts, dtype=np.float64) for s in stats])
-        yt = np.log(counts)
-        xc = x - x.mean()
-        sxx = float(xc @ xc)
-        per_trial_slopes = xc @ (yt - yt.mean(axis=0)) / sxx
-        dimension_std = float(np.std(per_trial_slopes))
-    else:
-        dimension_std = 0.0
 
+    xc = np.log(np.array([s.box_size for s in stats], dtype=np.float64))
+    xc -= xc.mean()
+    sxx = float(xc @ xc)
+    if sxx == 0.0:
+        raise ValueError("all box sizes identical; cannot fit")
+    # column 0 is the mean series, column t + 1 trial t's counts
+    y = np.log(np.column_stack([means, np.stack([s.counts for s in stats])]))
+    yc = y - y.mean(axis=0)
+    slopes = xc @ yc / sxx
+    resid = yc[:, 0] - slopes[0] * xc
+    ss_res = float(resid @ resid)
+    ss_tot = float(yc[:, 0] @ yc[:, 0])
     return DimensionEstimate(
-        dimension=-slope,
-        dimension_std=dimension_std,
-        slope_stderr=stderr,
-        r_squared=r_squared,
-        points_used=int(sizes.size),
+        dimension=-float(slopes[0]),
+        dimension_std=float(np.std(slopes[1:])),
+        slope_stderr=float(np.sqrt(ss_res / (xc.size - 2) / sxx)),
+        r_squared=1.0 if ss_tot == 0.0 else max(0.0, min(1.0, 1.0 - ss_res / ss_tot)),
+        points_used=xc.size,
         method=series.metric_kind,
     )
 
@@ -216,15 +189,14 @@ def analyze(
 ) -> tuple[ScalingSeries, DimensionEstimate]:
     """Estimate the fractal dimension of a graph end to end.
 
-    Pipeline: largest component -> (repulsion only: degree-product edge
-    weights) -> all-pairs distances -> ``analyze_matrix``. ``workers`` forked
-    processes relax the all-pairs columns and run the trials. Returns the
-    scaling series and the estimate.
+    Pipeline: largest component -> all-pairs distances under ``method``
+    (``all_pairs`` weighs repulsion's degree products and refuses an unknown
+    method) -> ``analyze_matrix``. ``workers`` forked processes relax the
+    all-pairs columns and run the trials. Returns the scaling series and the
+    estimate.
     """
-    if method not in (REPULSION, HOP):
-        raise ValueError(f"unknown method {method!r}")
     comp = largest_component(g)
-    dm = all_pairs(edge_repulsive_force(comp) if method == REPULSION else comp, method, workers)
+    dm = all_pairs(comp, method, workers)
     return analyze_matrix(
         dm, comp.edge_count, trials=trials, seed=seed, max_points=max_points,
         fit_range=fit_range, workers=workers, min_box_size=min_box_size,

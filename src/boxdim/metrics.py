@@ -10,8 +10,10 @@ Two node-to-node metrics are supported:
 
 Hops are the repulsion model with every force set to 1, so both metrics run
 one kernel. Repulsion weights are one int64 per stored arc, aligned with the
-graph's CSR ``indices``. All distances are computed and stored as exact
-integers, so downstream threshold tests never hit floating-point ties.
+graph's CSR ``indices``: ``all_pairs`` weighs a plain ``Graph`` by degree
+products itself, and a ``WeightedGraph`` carries its own. All distances are
+computed and stored as exact integers, so downstream threshold tests never
+hit floating-point ties.
 ``all_pairs`` relaxes the distances from every source at once, in numpy rounds
 over the CSR arrays. A round with many cells to relax pulls: each row takes the
 minimum of itself and its neighbours' rows plus the arc weight. A round with
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, is_connected
+from .graphs import Graph
 from .pool import fork_map, usable_workers
 
 logger = logging.getLogger(__name__)
@@ -118,12 +120,12 @@ class DistanceMatrix:
 def edge_repulsive_force(g: Graph) -> WeightedGraph:
     """Weight every edge with the product of its endpoint degrees.
 
-    Requires a connected graph with at least one edge; structure is unchanged.
+    Requires at least one edge; structure is unchanged. ``all_pairs`` weighs
+    a plain ``Graph`` this way itself under repulsion, and refuses a
+    disconnected one; call this to inspect or replace the forces.
     """
     if g.edge_count == 0:
         raise ValueError("no edges to weight")
-    if not is_connected(g):
-        raise ValueError("graph must be connected; extract the largest component first")
     deg = np.diff(g.indptr)
     weights = deg[g.arc_rows] * deg[g.indices]
     weights.setflags(write=False)
@@ -135,7 +137,8 @@ def _degree_groups(indptr, indices, weights) -> list[tuple[np.ndarray, np.ndarra
     for each degree, so a round runs on equal-length rows."""
     degree = np.diff(indptr)
     groups = []
-    for d in np.unique(degree):
+    # bincount, not np.unique, whose first call imports numpy.ma (about 5 ms)
+    for d in np.flatnonzero(np.bincount(degree)):
         nodes = np.flatnonzero(degree == d)
         slots = indptr[nodes, None] + np.arange(d)
         groups.append((nodes, indices[slots], weights[slots]))
@@ -305,19 +308,21 @@ def _pull_round(groups, mat, a, z) -> tuple[int, np.ndarray | None]:
 
 
 def _resolve(g: Graph | WeightedGraph, metric: str | None):
-    """Pick (graph, arc weights, metric_kind) for either input type; hops weigh every arc 1."""
+    """Pick (graph, arc weights, metric_kind) for either input type.
+
+    A ``WeightedGraph`` carries its own forces, and a ``Graph`` under
+    repulsion is weighed by ``edge_repulsive_force``; hops weigh every arc 1.
+    The one place that refuses an unknown metric name.
+    """
+    if isinstance(g, Graph) and metric == REPULSION:
+        g = edge_repulsive_force(g)
     if isinstance(g, WeightedGraph):
-        metric = metric or REPULSION
-        if metric == REPULSION:
+        if metric in (None, REPULSION):
             return g.graph, g.weights, REPULSION
         g = g.graph
-    elif isinstance(g, Graph):
-        metric = metric or HOP
-        if metric == REPULSION:
-            raise TypeError("repulsion metric needs a WeightedGraph; call edge_repulsive_force first")
-    else:
+    elif not isinstance(g, Graph):
         raise TypeError(f"expected Graph or WeightedGraph, got {type(g).__name__}")
-    if metric == HOP:
+    if metric in (None, HOP):
         return g, np.ones_like(g.indices), HOP
     raise ValueError(f"unknown metric {metric!r}")
 

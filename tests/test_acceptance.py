@@ -137,8 +137,7 @@ def test_criterion_6_greedy_vs_exact_oracle():
         n = int(rng.integers(2, 13))
         g = random_connected_graph(n, int(rng.integers(0, 2 * n)), seed=10_000 + i)
         metric = bd.REPULSION if i % 2 else bd.HOP
-        arg = bd.edge_repulsive_force(g) if metric == bd.REPULSION else g
-        dm = bd.all_pairs(arg, metric)
+        dm = bd.all_pairs(g, metric)
         for lb in bd.distinct_distances(dm):
             cov = bd.greedy_box_cover(dm, int(lb), rng.permutation(dm.n))
             assert is_valid_covering(dm, cov)
@@ -155,8 +154,7 @@ def test_criterion_7_metric_oracle():
         n = int(rng.integers(2, 51))
         g = random_connected_graph(n, int(rng.integers(0, n)), seed=20_000 + i)
         for metric in (bd.HOP, bd.REPULSION):
-            arg = bd.edge_repulsive_force(g) if metric == bd.REPULSION else g
-            dm = bd.all_pairs(arg, metric)
+            dm = bd.all_pairs(g, metric)
             oracle = floyd_warshall(n, graph_weighted_edges(g, metric))
             assert dm.dist.tolist() == oracle
     elapsed = time.perf_counter() - started

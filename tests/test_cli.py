@@ -373,8 +373,7 @@ class TestDim:
         )
         assert code == 0
         comp = bd.largest_component(bd.read_edge_list(karate_file))
-        arg = bd.edge_repulsive_force(comp) if method == "repulsion" else comp
-        assert bd.all_pairs(arg, method).dist.dtype == dtype
+        assert bd.all_pairs(comp, method).dist.dtype == dtype
         oracle = floyd_warshall(comp.node_count, graph_weighted_edges(comp, method))
         expected = io.BytesIO()
         np.savetxt(expected, np.array(oracle, dtype=np.int64), fmt="%d", delimiter=",")
@@ -537,3 +536,26 @@ def test_runtime_imports_neither_scipy_nor_numba():
         check=True,
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_hop_run_never_imports_numpy_ma(tmp_path):
+    # numpy.ma takes some 5 ms to import; a hop run needs no np.unique
+    script = (
+        "import sys\n"
+        "from boxdim.cli import main\n"
+        "code = main(['-q', 'dim', '--gen', 'sierpinski:3', '--method', 'hop', '--trials', '3', "
+        "'--threads', '1'])\n"
+        "print(code, 'numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(bd.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert done.stdout.split()[-2:] == ["0", "False"]

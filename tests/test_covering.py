@@ -113,8 +113,7 @@ class TestGreedyBoxCover:
         rng = np.random.default_rng(5)
         for seed in range(8):
             g = random_connected_graph(12, 10, seed=seed)
-            arg = bd.edge_repulsive_force(g) if metric == bd.REPULSION else g
-            dm = bd.all_pairs(arg, metric)
+            dm = bd.all_pairs(g, metric)
             for lb in bd.distinct_distances(dm):
                 cov = bd.greedy_box_cover(dm, int(lb), rng.permutation(dm.n))
                 assert is_valid_covering(dm, cov)
@@ -155,8 +154,7 @@ class TestBruteForce:
         for seed in range(20):
             g = random_connected_graph(4 + seed % 9, seed % 13, seed=100 + seed)
             metric = bd.REPULSION if seed % 2 else bd.HOP
-            arg = bd.edge_repulsive_force(g) if metric == bd.REPULSION else g
-            dm = bd.all_pairs(arg, metric)
+            dm = bd.all_pairs(g, metric)
             rng = np.random.default_rng(seed)
             for lb in bd.distinct_distances(dm):
                 cov = bd.greedy_box_cover(dm, int(lb), rng.permutation(dm.n))
@@ -490,7 +488,7 @@ def covering_cases(draw):
     n = draw(st.integers(2, 14))
     g = random_connected_graph(n, draw(st.integers(0, 2 * n)), seed=draw(st.integers(0, 10**6)))
     metric = draw(st.sampled_from([bd.HOP, bd.REPULSION]))
-    dm = bd.all_pairs(bd.edge_repulsive_force(g) if metric == bd.REPULSION else g, metric)
+    dm = bd.all_pairs(g, metric)
     order = draw(st.permutations(range(n)))
     return dm, np.array(order), draw(st.integers(0, 1000))
 
@@ -537,7 +535,7 @@ def test_each_step_matches_dense_rule(n, extra, graph_seed, metric, master_seed,
     # lockstep (which only graphs of at most 64 nodes can take), the latter
     # in trial blocks of 2, so the last is short
     g = random_connected_graph(n, extra, seed=graph_seed)
-    dm = bd.all_pairs(bd.edge_repulsive_force(g) if metric == bd.REPULSION else g, metric)
+    dm = bd.all_pairs(g, metric)
     sizes = all_box_sizes(dm)
     trials = 3
     by_step = []

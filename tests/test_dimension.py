@@ -118,6 +118,20 @@ class TestEstimateDimension:
         assert 1.0 < est.dimension < 3.0
         assert est.dimension_std == pytest.approx(1.0, abs=1e-9)
 
+    def test_dimension_std_matches_scipy_per_trial(self):
+        rng = np.random.default_rng(4)
+        sizes = np.array([1, 2, 3, 5, 8, 13])
+        counts = np.maximum(
+            1, (500 * sizes[:, None] ** -1.5 * rng.uniform(0.7, 1.4, (sizes.size, 40))).astype(int)
+        )
+        est = bd.estimate_dimension(synthetic_series(sizes, counts))
+        slopes = [sps.linregress(np.log(sizes), np.log(counts[:, t])).slope for t in range(40)]
+        assert est.dimension_std == pytest.approx(np.std(slopes), abs=1e-12)
+
+    def test_one_trial_has_no_spread(self):
+        est = bd.estimate_dimension(synthetic_series([1, 2, 4, 8], [60, 17, 5, 1]))
+        assert est.dimension_std == 0.0
+
     def test_inconsistent_trials_rejected(self):
         stats = (
             TrialStatistics.from_counts(1, np.array([5, 5])),
@@ -161,7 +175,7 @@ class TestAnalyze:
             bd.analyze(g, method=bd.REPULSION, trials=5, seed=0)
 
     def test_unknown_method(self, karate):
-        with pytest.raises(ValueError, match="unknown method"):
+        with pytest.raises(ValueError, match="unknown metric"):
             bd.analyze(karate, method="euclid")
 
     def test_min_box_size_filter(self, karate):

@@ -134,9 +134,14 @@ class TestEdgeRepulsiveForce:
             bd.edge_repulsive_force(bd.Graph.from_edges(1, []))
 
     def test_disconnected_rejected(self):
-        g = bd.Graph.from_edges(4, [(0, 1), (2, 3)])
-        with pytest.raises(ValueError, match="connected"):
-            bd.edge_repulsive_force(g)
+        # each component's edges weigh their degree products; all_pairs,
+        # not the weighting, refuses the graph
+        g = bd.Graph.from_edges(7, [(0, 1), (2, 3), (3, 4), (3, 5), (5, 6)])
+        wg = bd.edge_repulsive_force(g)
+        force = dict(zip(map(tuple, g.edges.tolist()), wg.forces.tolist()))
+        assert force == {(0, 1): 1, (2, 3): 3, (3, 4): 3, (3, 5): 6, (5, 6): 2}
+        with pytest.raises(ValueError, match="graph must be connected"):
+            bd.all_pairs(wg)
 
 
 class TestShortestPaths:
@@ -164,9 +169,24 @@ class TestShortestPaths:
         for s in (0, 5, 21):
             assert dm.dist[s].tolist() == dijkstra_row(rows, s, karate.node_count)
 
-    def test_repulsion_needs_weighted_graph(self, example6):
-        with pytest.raises(TypeError, match="WeightedGraph"):
-            bd.all_pairs(example6, bd.REPULSION)
+    def test_plain_graph_weighed_under_repulsion(self, example6, karate):
+        # all_pairs weighs a plain Graph by degree products itself, and
+        # defaults it to hops
+        for g in (
+            example6,
+            karate,
+            bd.generate_sierpinski(3).graph,
+            random_connected_graph(40, 30, seed=5),
+        ):
+            own = bd.all_pairs(g, bd.REPULSION)
+            given = bd.all_pairs(bd.edge_repulsive_force(g), bd.REPULSION)
+            assert own.metric_kind == bd.REPULSION
+            assert own.dist.dtype == given.dist.dtype
+            assert own.dist.tobytes() == given.dist.tobytes()
+            assert own.diameter == given.diameter
+            hop = bd.all_pairs(g)
+            assert hop.metric_kind == bd.HOP
+            assert hop.dist.tobytes() == bd.all_pairs(g, bd.HOP).dist.tobytes()
 
 
 class TestAllPairs:
@@ -185,15 +205,13 @@ class TestAllPairs:
 
     def test_disconnected_rejected(self):
         # two equal halves, node 0 isolated, and node 0 in the larger
-        # component, under both metrics and every push limit; repulsion is
-        # built directly, as edge_repulsive_force refuses these graphs itself
+        # component, under both metrics and every push limit
         cases = [(4, [(0, 1), (2, 3)]), (3, [(1, 2)]), (5, [(0, 1), (1, 2), (3, 4)])]
         for n, edges in cases:
             g = bd.Graph.from_edges(n, edges)
-            deg = np.diff(g.indptr)
-            wg = bd.WeightedGraph(graph=g, weights=deg[g.arc_rows] * deg[g.indices])
+            wg = bd.edge_repulsive_force(g)
             for push_cells in REPULSION_SETTINGS.values():
-                for arg, metric in [(g, bd.HOP), (wg, bd.REPULSION)]:
+                for arg, metric in [(g, bd.HOP), (g, bd.REPULSION), (wg, bd.REPULSION)]:
                     with pytest.MonkeyPatch.context() as mp:
                         mp.setattr(metrics, "_PUSH_CELLS", push_cells)
                         with pytest.raises(ValueError, match="graph must be connected"):
@@ -239,8 +257,7 @@ class TestAllPairs:
     def test_against_floyd_warshall_oracle(self, metric):
         for seed in range(12):
             g = random_connected_graph(3 + seed * 4 % 46, 2 + seed * 3, seed=seed)
-            arg = bd.edge_repulsive_force(g) if metric == bd.REPULSION else g
-            dm = bd.all_pairs(arg, metric)
+            dm = bd.all_pairs(g, metric)
             oracle = floyd_warshall(g.node_count, graph_weighted_edges(g, metric))
             assert dm.dist.tolist() == oracle
 
@@ -639,7 +656,7 @@ class TestDistinctDistances:
         # one block on karate and several on the larger graphs; at 105 cells,
         # blocks of 3 rows on karate, the last one short, and of 1 row on the rest
         g = make()
-        dm = bd.all_pairs(bd.edge_repulsive_force(g) if metric == bd.REPULSION else g, metric)
+        dm = bd.all_pairs(g, metric)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(metrics, "_BLOCK_CELLS", block_cells)
             values = bd.distinct_distances(dm)
@@ -671,8 +688,7 @@ def connected_graphs(draw):
 @given(connected_graphs(), st.sampled_from([bd.HOP, bd.REPULSION]))
 @settings(max_examples=40, deadline=None)
 def test_metric_axioms(g, metric):
-    arg = bd.edge_repulsive_force(g) if metric == bd.REPULSION else g
-    dm = bd.all_pairs(arg, metric)
+    dm = bd.all_pairs(g, metric)
     # widened: the sums of the closure below can pass a uint8 matrix's range
     d = dm.dist.astype(np.int64)
     n = dm.n
