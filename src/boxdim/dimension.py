@@ -12,7 +12,7 @@ import numpy as np
 
 from .covering import TrialStatistics, covering_counts
 from .graphs import Graph, largest_component
-from .metrics import REPULSION, DistanceMatrix, all_pairs, distinct_distances
+from .metrics import REPULSION, DistanceMatrix, all_pairs, distinct_distances, sorted_distinct
 
 ALL_DISTINCT = "all_distinct"
 LOG_SNAPPED = "log_snapped"
@@ -42,14 +42,6 @@ class ScalingSeries:
     node_count: int
     edge_count: int
 
-    @property
-    def box_sizes(self) -> np.ndarray:
-        return np.array([s.box_size for s in self.stats], dtype=np.int64)
-
-    @property
-    def mean_counts(self) -> np.ndarray:
-        return np.array([s.mean for s in self.stats], dtype=np.float64)
-
 
 @dataclass(frozen=True)
 class DimensionEstimate:
@@ -78,8 +70,7 @@ def _snap_log_targets(values: np.ndarray, max_points: int) -> np.ndarray:
     right = values[pos]
     snapped = np.where(targets - left <= right - targets, left, right)
     # endpoints always survive subsampling
-    picked = np.union1d(snapped, values[[0, -1]])
-    return picked
+    return sorted_distinct(np.concatenate((snapped, values[[0, -1]])))
 
 
 def build_schedule(dm: DistanceMatrix, max_points: int = DEFAULT_MAX_POINTS) -> BoxSizeSchedule:

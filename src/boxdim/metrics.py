@@ -31,8 +31,8 @@ and int64 that provably holds every value the kernel forms, a bound set by node
 0's column, which the kernel relaxes first (see ``_matrix_dtype``): uint8 for
 hops on at most 254 nodes, or whenever node 0 lies at most 126 hops from every
 node. A node that column never reaches refuses the graph as disconnected.
-Whole-matrix scans, such as ``distinct_distances``, read it a block of rows at
-a time and copy none of it.
+Whole-matrix scans read it a block of rows at a time and copy none of it:
+``distinct_distances`` merges each sorted block's distinct values into the running ones.
 """
 from __future__ import annotations
 
@@ -137,8 +137,7 @@ def _degree_groups(indptr, indices, weights) -> list[tuple[np.ndarray, np.ndarra
     for each degree, so a round runs on equal-length rows."""
     degree = np.diff(indptr)
     groups = []
-    # bincount, not np.unique, whose first call imports numpy.ma (about 5 ms)
-    for d in np.flatnonzero(np.bincount(degree)):
+    for d in sorted_distinct(degree):
         nodes = np.flatnonzero(degree == d)
         slots = indptr[nodes, None] + np.arange(d)
         groups.append((nodes, indices[slots], weights[slots]))
@@ -258,10 +257,7 @@ def _push_round(indptr, indices, weights, mat, keys) -> np.ndarray:
     lower = force < flat[key]
     key = key[lower]
     np.minimum.at(flat, key, force[lower])
-    # sorted and deduplicated by hand: np.unique hashes first, 0.8 ms a call on
-    # 8 k keys, which was half the time of a 4096-node path's pushed rounds
-    key.sort()
-    return key[np.diff(key, prepend=-1) != 0]
+    return sorted_distinct(key)
 
 
 def _pull_round(groups, mat, a, z) -> tuple[int, np.ndarray | None]:
@@ -371,13 +367,24 @@ def row_blocks(n: int) -> list[tuple[int, int]]:
     return [(a, min(a + rows, n)) for a in range(0, n, rows)]
 
 
+def sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of ``values``, flattened and ascending: a sort,
+    then each entry unlike the one before. Not numpy's ``unique``, whose first
+    call imports ``numpy.ma`` (some 5 ms) and which ran 3-7 times slower on
+    int16 and int32; 1-byte types sort stably, as numpy then radix-sorts them."""
+    values = np.sort(values, axis=None, kind="stable" if values.itemsize == 1 else None)
+    keep = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 def distinct_distances(dm: DistanceMatrix) -> np.ndarray:
     """Sorted unique off-diagonal distance values.
 
-    The matrix is read a row block at a time, so no copy of it is made.
+    Each sorted row block's distinct values merge into the running ones; no copy is made.
     """
     values = np.empty(0, dtype=dm.dist.dtype)
     for a, z in row_blocks(dm.n):
-        values = np.union1d(values, np.unique(dm.dist[a:z]))
+        values = sorted_distinct(np.concatenate((values, sorted_distinct(dm.dist[a:z]))))
     # on a connected graph only the diagonal is zero
     return values[1:] if values.size and values[0] == 0 else values

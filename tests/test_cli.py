@@ -538,13 +538,18 @@ def test_runtime_imports_neither_scipy_nor_numba():
     assert done.stdout.strip() == "[]"
 
 
-def test_hop_run_never_imports_numpy_ma(tmp_path):
-    # numpy.ma takes some 5 ms to import; a hop run needs no np.unique
+@pytest.mark.parametrize("args", [
+    "dim --gen sierpinski:3 --method hop",
+    # 215 distinct distances, so the schedule is log-snapped
+    "dim --gen sierpinski:3 --method repulsion",
+    "compare --gen sierpinski:2",
+], ids=["dim hop", "dim repulsion", "compare"])
+def test_no_run_imports_numpy_ma(tmp_path, args):
+    # numpy.ma takes some 5 ms to import, and np.unique's first call imports it
     script = (
         "import sys\n"
         "from boxdim.cli import main\n"
-        "code = main(['-q', 'dim', '--gen', 'sierpinski:3', '--method', 'hop', '--trials', '3', "
-        "'--threads', '1'])\n"
+        f"code = main(['-q', *{args.split()!r}, '--trials', '3', '--threads', '1'])\n"
         "print(code, 'numpy.ma' in sys.modules)\n"
     )
     src = str(Path(bd.__file__).resolve().parents[1])

@@ -6,7 +6,7 @@ from scipy import stats as sps
 
 import boxdim as bd
 from boxdim.covering import TrialStatistics
-from boxdim.dimension import DegenerateScalingError, series_from_counts
+from boxdim.dimension import DegenerateScalingError, _snap_log_targets, series_from_counts
 
 from conftest import random_connected_graph
 
@@ -56,6 +56,26 @@ class TestBuildSchedule:
         dm = bd.all_pairs(bd.edge_repulsive_force(g))
         with pytest.raises(DegenerateScalingError, match="degenerate scaling range"):
             bd.build_schedule(dm)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int64])
+    def test_snapped_targets_match_union1d(self, dtype):
+        # the snapping and np.union1d with the endpoints, as the schedule once did
+        def oracle(values, max_points):
+            targets = np.geomspace(float(values[0]), float(values[-1]), max_points)
+            pos = np.clip(np.searchsorted(values, targets), 1, values.size - 1)
+            left, right = values[pos - 1], values[pos]
+            snapped = np.where(targets - left <= right - targets, left, right)
+            return np.union1d(snapped, values[[0, -1]])
+
+        top = min(np.iinfo(dtype).max, 10**6)
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            size = int(rng.integers(4, 200))
+            values = np.sort(rng.choice(np.arange(1, top + 1), size, replace=False)).astype(dtype)
+            max_points = int(rng.integers(3, size))
+            picked = _snap_log_targets(values, max_points)
+            expected = oracle(values, max_points)
+            assert picked.dtype == dtype and picked.tolist() == expected.tolist()
 
 
 class TestEstimateDimension:

@@ -647,16 +647,19 @@ class TestDistinctDistances:
 
     @pytest.mark.parametrize("metric", [bd.HOP, bd.REPULSION])
     @pytest.mark.parametrize("block_cells", [metrics._BLOCK_CELLS, 105])
-    @pytest.mark.parametrize("make", [
-        lambda: bd.karate_club(),
-        lambda: bd.generate_sierpinski(4).graph,
-        lambda: random_connected_graph(600, 900, seed=5),
-    ], ids=["karate", "sierpinski 4", "random 600"])
-    def test_row_blocks_match_one_unique(self, make, block_cells, metric):
+    @pytest.mark.parametrize("make, repulsion_dtype", [
+        (lambda: bd.karate_club(), np.int16),
+        (lambda: bd.generate_sierpinski(4).graph, np.int16),
+        (lambda: random_connected_graph(600, 900, seed=5), np.int16),
+        (lambda: cycle_and_matching(600, seed=3), np.uint8),
+        (lambda: scaled_forces(random_connected_graph(600, 900, seed=5), 997), np.int32),
+    ], ids=["karate", "sierpinski 4", "random 600", "cycle 600", "random 600 forces x 997"])
+    def test_row_blocks_match_one_unique(self, make, repulsion_dtype, block_cells, metric):
         # one block on karate and several on the larger graphs; at 105 cells,
         # blocks of 3 rows on karate, the last one short, and of 1 row on the rest
         g = make()
         dm = bd.all_pairs(g, metric)
+        assert metric == bd.HOP or dm.dist.dtype == repulsion_dtype
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(metrics, "_BLOCK_CELLS", block_cells)
             values = bd.distinct_distances(dm)
@@ -664,17 +667,45 @@ class TestDistinctDistances:
         assert values.dtype == dm.dist.dtype and values.tolist() == expected.tolist()
 
     def test_no_copy_of_the_matrix(self):
-        # the blocks are read one at a time: the scan holds one block's copy,
-        # 256 KB here, next to the 16 MB matrix of Sierpinski level 5
-        dm = bd.all_pairs(bd.generate_sierpinski(5).graph, bd.HOP)
-        tracemalloc.start()
-        try:
-            values = bd.distinct_distances(dm)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert values.tolist() == list(range(1, dm.diameter + 1))
-        assert peak < dm.dist.nbytes / 16
+        # the blocks are read one at a time: the scan holds one block's sorted
+        # copy, 256 KB (hop, uint8) or 512 KB (repulsion, int16) here, next to
+        # the 16 or 32 MB matrix of Sierpinski level 5
+        g = bd.generate_sierpinski(5).graph
+        for metric, dtype in ((bd.HOP, np.uint8), (bd.REPULSION, np.int16)):
+            dm = bd.all_pairs(g, metric)
+            assert dm.dist.dtype == dtype
+            tracemalloc.start()
+            try:
+                values = bd.distinct_distances(dm)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert values.tolist() == np.unique(dm.dist)[1:].tolist()
+            assert peak < dm.dist.nbytes / 16
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int32, np.int64])
+@pytest.mark.parametrize("size", [0, 1, 2, 1000])
+def test_sorted_distinct_matches_unique(dtype, size):
+    rng = np.random.default_rng(size)
+    high = min(np.iinfo(dtype).max, 3 * size + 1)
+    values = rng.integers(0, high, size=(size, 2), endpoint=True).astype(dtype)
+    got = metrics.sorted_distinct(values)
+    assert got.dtype == dtype and got.tolist() == np.unique(values).tolist()
+
+
+def cycle_and_matching(n: int, seed: int) -> bd.Graph:
+    """A cycle of n nodes (n even) plus a random perfect matching; its
+    repulsion matrix is uint8 on up to some 3000 nodes."""
+    edges = {(min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n)}
+    pairs = np.random.default_rng(seed).permutation(n).reshape(-1, 2)
+    edges.update((min(u, v), max(u, v)) for u, v in pairs.tolist())
+    return bd.Graph.from_edges(n, sorted(edges))
+
+
+def scaled_forces(g: bd.Graph, factor: int) -> bd.WeightedGraph:
+    """The graph's repulsion forces times ``factor``."""
+    return bd.WeightedGraph(graph=g, weights=bd.edge_repulsive_force(g).weights * factor)
 
 
 @st.composite
