@@ -188,7 +188,11 @@ def _plan(dm: DistanceMatrix, sizes: Sequence[int], trials: int = 0) -> list[_Si
     """For each box size, the nodes its pass walks and what the pass reads:
     far-set words for the lockstep ``trials`` of a graph of at most
     ``_WORD_NODES`` nodes, else reach rows where the near lists hold more
-    than ``_SHORT_LIST`` entries per walked node, else the near lists."""
+    than ``_SHORT_LIST`` entries per walked node, else the near lists.
+    The one check of a box size: a positive integer (3.0 is 3), else ValueError."""
+    if not all(b > 0 and b % 1 == 0 for b in sizes):  # nan fails both
+        raise ValueError(f"box sizes must be positive integers, got {list(sizes)}")
+    sizes = [int(b) for b in sizes]  # exact; numpy compares a Python int in the matrix's type
     dist, n = dm.dist, dm.n
     blocks = row_blocks(n)
     lockstep = trials > 0 and n <= _WORD_NODES
@@ -273,9 +277,8 @@ def _lockstep_counts(far: np.ndarray, orders: np.ndarray) -> np.ndarray:
 
 
 def greedy_box_cover(dm: DistanceMatrix, box_size, order: Sequence[int]) -> BoxCovering:
-    """Run one greedy covering pass over the nodes in the given order."""
-    if box_size <= 0:
-        raise ValueError("box_size must be positive")
+    """Run one greedy covering pass over the nodes in the given order, at a
+    box size that is a positive integer (3.0 covers as 3), else ValueError."""
     order = np.asarray(order, dtype=np.int64)
     n = dm.n
     if order.shape != (n,) or not np.array_equal(np.sort(order), np.arange(n)):
@@ -294,13 +297,13 @@ def _order(n: int, master_seed: int, trial: int) -> np.ndarray:
 
 
 # compare colors the same trials of one graph under both metrics, so the
-# last block of orders drawn is kept
+# last run's orders are kept, n <= 64 bytes per trial
 @functools.lru_cache(maxsize=1)
-def _order_block(n: int, master_seed: int, first: int, stop: int) -> np.ndarray:
-    """The node orders of trials ``first`` to ``stop - 1``, one row each (n <= 64)."""
-    orders = np.empty((stop - first, n), dtype=np.uint8)
-    for t in range(first, stop):
-        orders[t - first] = _order(n, master_seed, t)
+def _run_orders(n: int, master_seed: int, trials: int) -> np.ndarray:
+    """The node orders of trials 0 to ``trials - 1``, one row each (n <= 64)."""
+    orders = np.empty((trials, n), dtype=np.uint8)
+    for t in range(trials):
+        orders[t] = _order(n, master_seed, t)
     orders.setflags(write=False)
     return orders
 
@@ -333,21 +336,19 @@ def covering_counts(
     walks a node. Otherwise each trial walks the plan, on ``workers``
     forked processes, at most one per trial and per usable CPU, that share
     the plan built here; a worker that dies raises
-    ``concurrent.futures.process.BrokenProcessPool``.
+    ``concurrent.futures.process.BrokenProcessPool``. Box sizes must be
+    positive integers, else ``ValueError``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    sizes = [int(b) for b in box_sizes]
-    if any(b <= 0 for b in sizes):
-        raise ValueError("box sizes must be positive")
-    plan = _plan(dm, sizes, trials)
+    plan = _plan(dm, box_sizes, trials)
     n = dm.n
     # the boxes of the walked nodes; the isolated nodes' boxes are added last
-    counts = np.zeros((len(sizes), trials), dtype=np.int64)
+    counts = np.zeros((len(plan), trials), dtype=np.int64)
     if n <= _WORD_NODES:
         for first in range(0, trials, _TRIAL_BLOCK):
             stop = min(first + _TRIAL_BLOCK, trials)
-            orders = _order_block(n, master_seed, first, stop)
+            orders = _run_orders(n, master_seed, trials)[first:stop]
             for row, entry in zip(counts, plan):
                 # every trial walks the same number of nodes, each in its own order
                 walked = orders[entry.walk[orders]].reshape(stop - first, -1)

@@ -28,7 +28,6 @@ class DegenerateScalingError(ValueError):
 class BoxSizeSchedule:
     """Ascending box sizes to sweep, all between the smallest distance and the diameter."""
 
-    metric_kind: str
     values: tuple[int, ...]
     selection_mode: str
 
@@ -73,14 +72,18 @@ def _snap_log_targets(values: np.ndarray, max_points: int) -> np.ndarray:
     return sorted_distinct(np.concatenate((snapped, values[[0, -1]])))
 
 
-def build_schedule(dm: DistanceMatrix, max_points: int = DEFAULT_MAX_POINTS) -> BoxSizeSchedule:
-    """Choose the box sizes to sweep for one distance matrix.
+def build_schedule(
+    dm: DistanceMatrix, max_points: int = DEFAULT_MAX_POINTS, min_box_size: int | None = None
+) -> BoxSizeSchedule:
+    """Choose the box sizes to sweep for one distance matrix; the trials sweep exactly these.
 
     Repulsion mode sweeps the distinct distance values themselves, from the
     smallest up to the diameter; hop mode sweeps the integers 1..diameter.
     When there are more than ``max_points`` candidates, log-spaced targets are
     snapped to the nearest candidate (keeping both endpoints) so the fit stays
-    well conditioned without flooding large graphs.
+    well conditioned without flooding large graphs. Then the sizes below
+    ``min_box_size`` are dropped, and a sweep of fewer than three sizes is
+    refused with ``DegenerateScalingError``.
     """
     if max_points < 3:
         raise ValueError("max_points must be at least 3")
@@ -88,19 +91,16 @@ def build_schedule(dm: DistanceMatrix, max_points: int = DEFAULT_MAX_POINTS) -> 
         candidates = distinct_distances(dm)
     else:
         candidates = np.arange(1, dm.diameter + 1, dtype=np.int64)
-    if candidates.size < 3:
-        raise DegenerateScalingError(
-            f"degenerate scaling range: only {candidates.size} distinct box size(s)"
-        )
     if candidates.size <= max_points:
         picked, mode = candidates, ALL_DISTINCT
     else:
         picked, mode = _snap_log_targets(candidates, max_points), LOG_SNAPPED
-    return BoxSizeSchedule(
-        metric_kind=dm.metric_kind,
-        values=tuple(int(v) for v in picked),
-        selection_mode=mode,
-    )
+    values = tuple(int(v) for v in picked)
+    if min_box_size is not None:
+        values = tuple(v for v in values if v >= min_box_size)
+    if len(values) < 3:
+        raise DegenerateScalingError(f"degenerate scaling range: only {len(values)} box size(s)")
+    return BoxSizeSchedule(values=values, selection_mode=mode)
 
 
 def estimate_dimension(
@@ -208,17 +208,11 @@ def analyze_matrix(
 
     Pipeline: box-size schedule -> randomized greedy coverings -> log-log
     regression. ``edge_count`` is the graph's, recorded in the series.
-    ``min_box_size`` drops schedule entries below it, for metrics whose
-    smallest sizes are not wanted in the sweep.
+    ``build_schedule`` drops the sizes below ``min_box_size`` and refuses a
+    sweep of fewer than three sizes, and a ``fit_range`` that keeps fewer
+    than three is refused too, both before any trial runs.
     """
-    schedule = build_schedule(dm, max_points)
-    values = schedule.values
-    if min_box_size is not None:
-        values = tuple(v for v in values if v >= min_box_size)
-        if len(values) < 3:
-            raise DegenerateScalingError(
-                f"degenerate scaling range: {len(values)} box size(s) >= {min_box_size}"
-            )
+    values = build_schedule(dm, max_points, min_box_size).values
     if fit_range is not None:  # refused before the trials run, as estimate_dimension would after
         kept = sum(fit_range[0] <= v <= fit_range[1] for v in values)
         if kept < 3:

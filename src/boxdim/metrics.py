@@ -84,12 +84,31 @@ _BLOCK_CELLS = 1 << 18
 class WeightedGraph:
     """A graph whose edges carry positive integer repulsion forces.
 
-    ``weights`` is a read-only int64 array with one weight per stored arc,
-    aligned with ``graph.indices``; both arcs of an edge carry its force.
+    ``weights`` holds one weight per stored arc, aligned with
+    ``graph.indices``, and both arcs of an edge carry its force. It is
+    checked when the graph is built: a shape unlike ``graph.indices``, a
+    non-integer type, a weight of 0 or less, or an edge whose two arcs
+    differ raises ``ValueError``. It is then held as a read-only int64 array.
     """
 
     graph: Graph
     weights: np.ndarray
+
+    def __post_init__(self):
+        g, weights = self.graph, np.asarray(self.weights)
+        if weights.shape != g.indices.shape:
+            raise ValueError(f"weights of shape {weights.shape}, not one per arc {g.indices.shape}")
+        if not np.issubdtype(weights.dtype, np.integer):
+            raise ValueError(f"weights must be integers, got {weights.dtype}")
+        # a private copy unless it is already read-only int64; a uint64 past int64 turns negative
+        weights = weights.astype(np.int64, copy=weights.flags.writeable)
+        if (weights <= 0).any():
+            raise ValueError("weights must be positive")
+        # sorted by (head, tail), the arcs fall in the order of their reverses
+        if not np.array_equal(weights[np.lexsort((g.arc_rows, g.indices))], weights):
+            raise ValueError("both arcs of an edge must carry the same weight")
+        weights.setflags(write=False)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def forces(self) -> np.ndarray:
@@ -186,7 +205,6 @@ def _repulsion_matrix(indptr, indices, weights, slices: int = 1) -> tuple[np.nda
     are several, its rounds, how many of them pulled, and its largest cell.
     """
     n = indptr.size - 1
-    weights = np.asarray(weights, dtype=np.int64)
     wmax = int(weights.max(initial=0))
     # a path of at most n - 1 arcs sums below far: a cell left there was never reached
     far = (n - 1) * wmax + 1

@@ -449,9 +449,9 @@ class TestCompare:
 
     def test_each_trial_order_drawn_once(self, karate_file, tmp_path, capsys, monkeypatch):
         # both methods color the same trials of one graph, so the second
-        # reads the orders the first drew
+        # reads the orders the first drew, in one block of trials or in
+        # several (16, 16 and 8)
         monkeypatch.chdir(tmp_path)
-        covering._order_block.cache_clear()
         drawn = []
         order = covering._order
 
@@ -461,9 +461,13 @@ class TestCompare:
 
         monkeypatch.setattr(covering, "_order", counted)
         args = ["compare", "--input", str(karate_file), "--trials", "40", "--threads", "1"]
-        code, _, _ = run_cli(args, capsys)
-        assert code == 0
-        assert drawn == list(range(40))
+        for block in (covering._TRIAL_BLOCK, 16):
+            monkeypatch.setattr(covering, "_TRIAL_BLOCK", block)
+            covering._run_orders.cache_clear()
+            drawn.clear()
+            code, _, _ = run_cli(args, capsys)
+            assert code == 0
+            assert drawn == list(range(40)), block
 
     def test_missing_input_exit_2(self, capsys):
         code, _, stderr = run_cli(["compare", "--input", "/no/such/file.txt"], capsys)

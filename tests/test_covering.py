@@ -105,8 +105,23 @@ class TestGreedyBoxCover:
             bd.greedy_box_cover(example6_repulsion, 10, [0, 0, 1, 2, 3, 4])
 
     def test_rejects_nonpositive_box_size(self, example6_repulsion):
-        with pytest.raises(ValueError, match="positive"):
-            bd.greedy_box_cover(example6_repulsion, 0, range(6))
+        # 0 and -1 are not positive; 2.5 and nan are not integers
+        for box_size in (0, -1, 2.5, float("nan")):
+            with pytest.raises(ValueError, match="positive integers"):
+                bd.greedy_box_cover(example6_repulsion, box_size, range(6))
+            with pytest.raises(ValueError, match="positive integers"):
+                bd.covering_counts(example6_repulsion, [4, box_size], trials=2, master_seed=0)
+
+    def test_integral_float_box_size_accepted(self, example6_repulsion):
+        dm = example6_repulsion
+        for box_size in (3, 11):
+            for order in ([5, 4, 3, 2, 1, 0], range(6)):
+                as_float = bd.greedy_box_cover(dm, float(box_size), order)
+                as_int = bd.greedy_box_cover(dm, box_size, order)
+                assert as_float.box_count == as_int.box_count
+                assert as_float.colors.tolist() == as_int.colors.tolist()
+        counts = bd.covering_counts(dm, [3.0, np.int64(11)], trials=20, master_seed=1)
+        assert np.array_equal(counts, bd.covering_counts(dm, [3, 11], trials=20, master_seed=1))
 
     @pytest.mark.parametrize("metric", [bd.HOP, bd.REPULSION])
     def test_random_coverings_valid(self, metric):

@@ -11,6 +11,17 @@ from boxdim.dimension import DegenerateScalingError, _snap_log_targets, series_f
 from conftest import random_connected_graph
 
 
+def collapsing_path() -> bd.DistanceMatrix:
+    """The path 0-1-2-3 with forces 1, 998, 1: distinct distances 1, 998, 999
+    and 1000, whose middle log-spaced target of three snaps to 1."""
+    g = bd.Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    return bd.all_pairs(bd.WeightedGraph(graph=g, weights=np.array([1, 1, 998, 998, 1, 1])))
+
+
+def no_trials(*args, **kwargs):
+    raise AssertionError("the covering trials ran")
+
+
 def synthetic_series(sizes, counts_per_size, metric=bd.REPULSION):
     stats = tuple(
         TrialStatistics.from_counts(b, np.atleast_1d(c))
@@ -56,6 +67,22 @@ class TestBuildSchedule:
         dm = bd.all_pairs(bd.edge_repulsive_force(g))
         with pytest.raises(DegenerateScalingError, match="degenerate scaling range"):
             bd.build_schedule(dm)
+
+    def test_collapsed_snapped_schedule_refused(self):
+        dm = collapsing_path()
+        assert bd.build_schedule(dm, max_points=4).values == (1, 998, 999, 1000)
+        with pytest.raises(DegenerateScalingError, match="degenerate scaling range"):
+            bd.build_schedule(dm, max_points=3)
+
+    def test_min_box_size_applied_after_snapping(self):
+        g = bd.Graph.from_edges(201, [(i, i + 1) for i in range(200)])
+        dm = bd.all_pairs(g, bd.HOP)
+        snapped = bd.build_schedule(dm, max_points=12)
+        sched = bd.build_schedule(dm, max_points=12, min_box_size=10)
+        assert sched.values == tuple(v for v in snapped.values if v >= 10)
+        assert sched.selection_mode == snapped.selection_mode == "log_snapped"
+        with pytest.raises(DegenerateScalingError, match="degenerate scaling range"):
+            bd.build_schedule(dm, max_points=12, min_box_size=snapped.values[-2])
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int64])
     def test_snapped_targets_match_union1d(self, dtype):
@@ -202,13 +229,27 @@ class TestAnalyze:
         series, est = bd.analyze(karate, method=bd.HOP, trials=10, seed=0, min_box_size=2)
         assert series.stats[0].box_size == 2
         assert est.points_used == len(series.stats)
+        sched = bd.build_schedule(bd.all_pairs(karate, bd.HOP), min_box_size=2)
+        assert sched.values == tuple(s.box_size for s in series.stats)
+
+    def test_collapsed_schedule_refused_before_the_trials(self, monkeypatch):
+        dm = collapsing_path()
+        monkeypatch.setattr(bd.dimension, "covering_counts", no_trials)
+        with pytest.raises(DegenerateScalingError, match="degenerate scaling range"):
+            bd.analyze_matrix(dm, 3, trials=50, max_points=3)
+
+    def test_min_box_size_leaving_two_refused_before_the_trials(self, karate, monkeypatch):
+        # karate hop sweeps 1..5, so sizes from 4 on leave 4 and 5
+        dm = bd.all_pairs(karate, bd.HOP)
+        with pytest.raises(DegenerateScalingError, match="degenerate scaling range"):
+            bd.build_schedule(dm, min_box_size=4)
+        monkeypatch.setattr(bd.dimension, "covering_counts", no_trials)
+        with pytest.raises(DegenerateScalingError, match="degenerate scaling range"):
+            bd.analyze_matrix(dm, karate.edge_count, trials=5, min_box_size=4)
 
     @pytest.mark.parametrize("fit_range", [(100000, 200000), (2, 3)])
     def test_empty_fit_range_refused_before_the_trials(self, karate, monkeypatch, fit_range):
         # karate hop sweeps 1..5: neither range keeps 3 sizes, so no trial may run
-        def no_trials(*args, **kwargs):
-            raise AssertionError("the covering trials ran")
-
         dm = bd.all_pairs(karate, bd.HOP)
         monkeypatch.setattr(bd.dimension, "covering_counts", no_trials)
         with pytest.raises(DegenerateScalingError, match=r"\d point\(s\) in fit range \(need 3\)"):

@@ -144,6 +144,42 @@ class TestEdgeRepulsiveForce:
             bd.all_pairs(wg)
 
 
+class TestWeightedGraph:
+    # the path 0-1-2-3 stores six arcs: 0>1, 1>0, 1>2, 2>1, 2>3, 3>2
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ([1, 1], "not one per arc"),
+            (np.ones((6, 1), dtype=np.int64), "not one per arc"),
+            (np.full(6, 1.5), "must be integers"),
+            (np.ones(6, dtype=bool), "must be integers"),
+            ([-1, -1, 1, 1, 1, 1], "must be positive"),
+            ([1, 1, 0, 0, 1, 1], "must be positive"),
+            (np.full(6, 2**63, dtype=np.uint64), "must be positive"),
+            ([1, 5, 1, 1, 1, 1], "same weight"),
+        ],
+        ids=["short", "2-d", "float", "bool", "negative", "zero", "past-int64", "asymmetric"],
+    )
+    def test_bad_weights_refused(self, weights, message):
+        with pytest.raises(ValueError, match=message):
+            bd.WeightedGraph(graph=path_graph(4), weights=weights)
+
+    def test_held_as_read_only_int64(self):
+        mine = np.array([1, 1, 998, 998, 1, 1], dtype=np.int32)
+        wg = bd.WeightedGraph(graph=path_graph(4), weights=mine)
+        assert wg.weights.dtype == np.int64 and not wg.weights.flags.writeable
+        assert mine.flags.writeable and wg.weights.tolist() == mine.tolist()
+        own = np.array([1, 1, 2, 2, 1, 1])
+        wg = bd.WeightedGraph(graph=path_graph(4), weights=own)
+        own[:] = 7  # a writable input is copied, so the graph keeps its weights
+        assert wg.weights.tolist() == [1, 1, 2, 2, 1, 1]
+
+    def test_degree_products_pass(self, karate):
+        wg = bd.edge_repulsive_force(karate)
+        again = bd.WeightedGraph(graph=karate, weights=wg.weights)
+        assert again.weights is wg.weights  # read-only int64 already: kept, not copied
+
+
 class TestShortestPaths:
     # rows of all_pairs against the per-source Python oracles
     def test_worked_example_row(self, example6):
