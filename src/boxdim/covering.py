@@ -56,7 +56,7 @@ _REACH_ROWS = 64
 # one machine word; boxes of several words lost to the list walk from about
 # 128 nodes, and were 2-6 times slower at 256-512
 _WORD_NODES = 64
-# trials colored in lockstep at once, so memory does not grow with the count
+# trials colored in lockstep at once: bounds their working state, not the held orders
 _TRIAL_BLOCK = 1 << 10
 # _BITS[v] is node v's bit in a one-word node set
 _BITS = np.left_shift(np.uint64(1), np.arange(_WORD_NODES, dtype=np.uint64))
@@ -288,7 +288,7 @@ def greedy_box_cover(dm: DistanceMatrix, box_size, order: Sequence[int]) -> BoxC
     colors, ncolors = entry.step.colors(order.tolist())
     colors = np.asarray(colors, dtype=np.int64) - 1
     colors.setflags(write=False)
-    return BoxCovering(box_size=box_size, colors=colors, box_count=ncolors)
+    return BoxCovering(box_size=int(box_size), colors=colors, box_count=ncolors)
 
 
 def _order(n: int, master_seed: int, trial: int) -> np.ndarray:
@@ -337,10 +337,12 @@ def covering_counts(
     forked processes, at most one per trial and per usable CPU, that share
     the plan built here; a worker that dies raises
     ``concurrent.futures.process.BrokenProcessPool``. Box sizes must be
-    positive integers, else ``ValueError``.
+    positive integers and ``master_seed`` non-negative, else ``ValueError``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not (isinstance(master_seed, (int, np.integer)) and master_seed >= 0):
+        raise ValueError(f"master_seed must be a non-negative integer, got {master_seed!r}")
     plan = _plan(dm, box_sizes, trials)
     n = dm.n
     # the boxes of the walked nodes; the isolated nodes' boxes are added last
@@ -370,8 +372,8 @@ def brute_force_min_boxes(dm: DistanceMatrix, box_size) -> int:
     n = dm.n
     if n > BRUTE_FORCE_MAX_NODES:
         raise ValueError(f"brute force limited to {BRUTE_FORCE_MAX_NODES} nodes, got {n}")
-    if box_size <= 0:
-        raise ValueError("box_size must be positive")
+    if not (box_size > 0 and box_size % 1 == 0):  # nan fails both
+        raise ValueError(f"box sizes must be positive integers, got {box_size!r}")
     if n == 0:
         raise ValueError("empty distance matrix")
 

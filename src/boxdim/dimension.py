@@ -103,6 +103,17 @@ def build_schedule(
     return BoxSizeSchedule(values=values, selection_mode=mode)
 
 
+def _fit_points(sizes, fit_range: tuple[float, float] | None) -> list[int]:
+    """The positions of the box sizes in ``fit_range``'s [lo, hi] (all when it is None)."""
+    lo, hi = (-np.inf, np.inf) if fit_range is None else fit_range
+    kept = [i for i, b in enumerate(sizes) if lo <= b <= hi]
+    if len(kept) < 3:
+        raise DegenerateScalingError(
+            f"degenerate scaling range: {len(kept)} point(s) in fit range (need 3)"
+        )
+    return kept
+
+
 def estimate_dimension(
     series: ScalingSeries, fit_range: tuple[float, float] | None = None
 ) -> DimensionEstimate:
@@ -114,14 +125,7 @@ def estimate_dimension(
     and the slope's standard error, and the population std of the trials'
     slopes gives ``dimension_std``, 0.0 for one trial.
     """
-    stats = series.stats
-    if fit_range is not None:
-        lo, hi = fit_range
-        stats = tuple(s for s in stats if lo <= s.box_size <= hi)
-    if len(stats) < 3:
-        raise DegenerateScalingError(
-            f"degenerate scaling range: {len(stats)} point(s) in fit range (need 3)"
-        )
+    stats = [series.stats[i] for i in _fit_points([s.box_size for s in series.stats], fit_range)]
     means = np.array([s.mean for s in stats], dtype=np.float64)
     if (means <= 0).any():
         raise AssertionError("box counts must be positive")
@@ -213,12 +217,7 @@ def analyze_matrix(
     than three is refused too, both before any trial runs.
     """
     values = build_schedule(dm, max_points, min_box_size).values
-    if fit_range is not None:  # refused before the trials run, as estimate_dimension would after
-        kept = sum(fit_range[0] <= v <= fit_range[1] for v in values)
-        if kept < 3:
-            raise DegenerateScalingError(
-                f"degenerate scaling range: {kept} point(s) in fit range (need 3)"
-            )
+    _fit_points(values, fit_range)  # refused before the trials run
     counts = covering_counts(dm, values, trials, seed, workers=workers)
     series = series_from_counts(dm, values, counts, dm.n, edge_count)
     estimate = estimate_dimension(series, fit_range)

@@ -20,6 +20,13 @@ class EdgeListError(ValueError):
         self.line_number = line_number
 
 
+def _repeats(key: np.ndarray) -> np.ndarray:
+    """Marks each entry of ``key`` that an earlier entry repeats."""
+    repeat = np.ones(key.size, dtype=bool)
+    repeat[np.unique(key, return_index=True)[1]] = False
+    return repeat
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Simple undirected graph over dense node ids 0..node_count-1, as CSR arrays.
@@ -69,9 +76,7 @@ class Graph:
         u, v = np.array(list(edges), dtype=np.int64).reshape(-1, 2).T
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         outside = (lo < 0) | (hi >= node_count)
-        key = np.where(outside, -1, lo * node_count + hi)
-        repeat = np.ones(key.size, dtype=bool)
-        repeat[np.unique(key, return_index=True)[1]] = False
+        repeat = _repeats(np.where(outside, -1, lo * node_count + hi))
         bad = np.flatnonzero(outside | (lo == hi) | repeat)
         if bad.size:
             i = bad[0]
@@ -112,11 +117,8 @@ def load_edge_list(
     else:
         lines = source
 
-    ids: dict[str, int] = {}
-    labels: list[str] = []
+    ids: dict[str, int] = {}  # each label's id, in order of first appearance
     edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    duplicates = 0
     self_loops = 0
 
     for lineno, raw in enumerate(lines, start=1):
@@ -131,27 +133,21 @@ def load_edge_list(
             self_loops += 1
             continue
         for tok in (a, b):
-            if tok not in ids:
-                ids[tok] = len(labels)
-                labels.append(tok)
-        pair = (ids[a], ids[b])
-        if pair[0] > pair[1]:
-            pair = (pair[1], pair[0])
-        if pair in seen:
-            duplicates += 1
-            continue
-        seen.add(pair)
-        edges.append(pair)
+            ids.setdefault(tok, len(ids))
+        edges.append((ids[a], ids[b]))
 
     if not edges:
         raise EdgeListError("no edges")
+    pairs = np.sort(np.array(edges, dtype=np.int64), axis=1)
+    repeat = _repeats(pairs[:, 0] * len(ids) + pairs[:, 1])
+    duplicates = int(np.count_nonzero(repeat))
     if duplicates or self_loops:
         logger.warning(
             "dropped %d duplicate edge(s) and %d self-loop(s) while loading",
             duplicates,
             self_loops,
         )
-    return Graph.from_edges(len(labels), edges, labels)
+    return Graph.from_edges(len(ids), pairs[~repeat], list(ids))
 
 
 def read_edge_list(path, **kwargs) -> Graph:

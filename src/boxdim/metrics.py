@@ -68,7 +68,7 @@ _PUSH_CELLS = 48
 # the 2859-node graph (24 against 30 ms under hop) and Sierpinski 5 (44
 # against 68 ms) (min of 5 calls, 2-core x86-64)
 _FORK_NODES = 2560
-# matrix cells a pull round lowers at once (at most 256 KB, which stays in cache)
+# matrix cells a pull round lowers at once (32 KB as uint8 to 256 KB as int64: in cache)
 _PULL_CELLS = 1 << 15
 # arcs per row whose neighbour rows a pull round gathers at once; one gather
 # per arc took Sierpinski 5 from 68 to 83 ms under hop and from 132 to 158 ms
@@ -87,8 +87,8 @@ class WeightedGraph:
     ``weights`` holds one weight per stored arc, aligned with
     ``graph.indices``, and both arcs of an edge carry its force. It is
     checked when the graph is built: a shape unlike ``graph.indices``, a
-    non-integer type, a weight of 0 or less, or an edge whose two arcs
-    differ raises ``ValueError``. It is then held as a read-only int64 array.
+    non-integer type, a weight of 0 or less or past int64, or an edge whose
+    two arcs differ raises ``ValueError``. It is then held as read-only int64.
     """
 
     graph: Graph
@@ -100,7 +100,9 @@ class WeightedGraph:
             raise ValueError(f"weights of shape {weights.shape}, not one per arc {g.indices.shape}")
         if not np.issubdtype(weights.dtype, np.integer):
             raise ValueError(f"weights must be integers, got {weights.dtype}")
-        # a private copy unless it is already read-only int64; a uint64 past int64 turns negative
+        if (weights > np.iinfo(np.int64).max).any():  # a uint64 the int64 cast would wrap
+            raise ValueError("weights must fit in int64")
+        # a private copy unless it is already read-only int64
         weights = weights.astype(np.int64, copy=weights.flags.writeable)
         if (weights <= 0).any():
             raise ValueError("weights must be positive")

@@ -117,9 +117,12 @@ class TestGreedyBoxCover:
         for box_size in (3, 11):
             for order in ([5, 4, 3, 2, 1, 0], range(6)):
                 as_float = bd.greedy_box_cover(dm, float(box_size), order)
+                as_numpy = bd.greedy_box_cover(dm, np.int64(box_size), order)
                 as_int = bd.greedy_box_cover(dm, box_size, order)
-                assert as_float.box_count == as_int.box_count
+                assert as_float.box_count == as_numpy.box_count == as_int.box_count
                 assert as_float.colors.tolist() == as_int.colors.tolist()
+                for cov in (as_float, as_numpy, as_int):
+                    assert type(cov.box_size) is int and cov.box_size == box_size
         counts = bd.covering_counts(dm, [3.0, np.int64(11)], trials=20, master_seed=1)
         assert np.array_equal(counts, bd.covering_counts(dm, [3, 11], trials=20, master_seed=1))
 
@@ -142,6 +145,14 @@ class TestBruteForce:
     def test_trivial_endpoints(self, example6_repulsion):
         assert bd.brute_force_min_boxes(example6_repulsion, 19) == 1
         assert bd.brute_force_min_boxes(example6_repulsion, 2) == 6
+
+    def test_box_size_must_be_a_positive_integer(self, example6_repulsion):
+        # the oracle refuses what greedy_box_cover refuses, with its own check
+        dm = example6_repulsion
+        for box_size in (0, -1, 2.5, float("nan")):
+            with pytest.raises(ValueError, match="positive integers"):
+                bd.brute_force_min_boxes(dm, box_size)
+        assert bd.brute_force_min_boxes(dm, 3.0) == bd.brute_force_min_boxes(dm, 3)
 
     def test_matches_partition_enumeration(self):
         # independent oracle: minimum box count over all valid partitions
@@ -217,6 +228,18 @@ class TestRunTrials:
         serial = bd.covering_counts(dm, [2, 3, 4], trials=40, master_seed=3, workers=1)
         parallel = bd.covering_counts(dm, [2, 3, 4], trials=40, master_seed=3, workers=4)
         assert np.array_equal(serial, parallel)
+
+    @pytest.mark.parametrize("master_seed", [-1, 1.5])
+    def test_bad_seed_refused_before_the_plan(self, monkeypatch, master_seed):
+        # above 64 nodes, so a seed refused late would follow a plan and a forked pool
+        dm = bd.all_pairs(random_connected_graph(100, 40, seed=2), bd.HOP)
+
+        def no_plan(*args, **kwargs):
+            raise AssertionError("the covering plan was built")
+
+        monkeypatch.setattr(covering, "_plan", no_plan)
+        with pytest.raises(ValueError, match="master_seed must be a non-negative integer"):
+            bd.covering_counts(dm, [2, 4, 8], trials=6, master_seed=master_seed, workers=2)
 
     def test_dead_worker_raises_instead_of_hanging(self, monkeypatch):
         dm = bd.all_pairs(random_connected_graph(100, 40, seed=2), bd.HOP)

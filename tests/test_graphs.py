@@ -74,6 +74,53 @@ class TestLoadEdgeList:
         assert sorted(bd.degrees(g2)) == sorted(bd.degrees(g))
 
 
+def set_dedupe(pairs):
+    """A Python-set dedupe of label pairs: the labels in order of first
+    appearance on a kept line, the kept edges as id pairs (u < v), and the
+    counts of repeated edges and of self-loops dropped."""
+    ids: dict[str, int] = {}
+    seen: set[tuple[int, int]] = set()
+    duplicates = self_loops = 0
+    for a, b in pairs:
+        if a == b:
+            self_loops += 1
+            continue
+        for tok in (a, b):
+            if tok not in ids:
+                ids[tok] = len(ids)
+        edge = (min(ids[a], ids[b]), max(ids[a], ids[b]))
+        if edge in seen:
+            duplicates += 1
+            continue
+        seen.add(edge)
+    return list(ids), seen, duplicates, self_loops
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_loader_matches_set_dedupe(seed, caplog):
+    # a few distinct pairs over up to 12 labels, each written several times
+    # in either orientation, with self-loops among them
+    rng = np.random.default_rng(seed)
+    labels = [f"n{k}" for k in rng.permutation(12)[: rng.integers(2, 13)]]
+    distinct = rng.choice(labels, size=(int(rng.integers(1, 25)), 2))
+    pairs = [tuple(p[::-1]) if rng.random() < 0.5 else tuple(p)
+             for p in distinct[rng.integers(0, len(distinct), size=60)].tolist()]
+    names, edges, duplicates, self_loops = set_dedupe(pairs)
+    with caplog.at_level(logging.WARNING, logger="boxdim.graphs"):
+        g = bd.load_edge_list("\n".join(f"{a} {b}" for a, b in pairs))
+    nbrs: list[list[int]] = [[] for _ in names]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    assert g.node_labels == tuple(names)
+    assert g.indptr.tolist() == [0, *accumulate(len(ns) for ns in nbrs)]
+    assert g.indices.tolist() == [v for ns in nbrs for v in sorted(ns)]
+    dropped = f"dropped {duplicates} duplicate edge(s) and {self_loops} self-loop(s)"
+    assert [r.getMessage().startswith(dropped) for r in caplog.records] == (
+        [True] if duplicates or self_loops else []
+    )
+
+
 class TestGraphConstruction:
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):

@@ -155,7 +155,7 @@ class TestWeightedGraph:
             (np.ones(6, dtype=bool), "must be integers"),
             ([-1, -1, 1, 1, 1, 1], "must be positive"),
             ([1, 1, 0, 0, 1, 1], "must be positive"),
-            (np.full(6, 2**63, dtype=np.uint64), "must be positive"),
+            (np.full(6, 2**63, dtype=np.uint64), "must fit in int64"),
             ([1, 5, 1, 1, 1, 1], "same weight"),
         ],
         ids=["short", "2-d", "float", "bool", "negative", "zero", "past-int64", "asymmetric"],
