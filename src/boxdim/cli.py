@@ -283,6 +283,9 @@ def main(argv=None) -> int:
     elif args.quiet:
         level = logging.ERROR
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    # basicConfig does nothing once the root logger has a handler, as in a
+    # host program that configured logging first
+    logging.getLogger("boxdim").setLevel(level)
 
     try:
         if args.command == "gen":

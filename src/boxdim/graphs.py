@@ -99,18 +99,14 @@ class Graph:
         return cls(node_count, indptr, indices, node_labels)
 
 
-def load_edge_list(
-    source: str | IO[str] | Iterable[str],
-    comment_prefix: str = "#",
-    delimiter: str | None = None,
-) -> Graph:
+def load_edge_list(source: str | IO[str] | Iterable[str]) -> Graph:
     """Parse a two-column edge list into a Graph.
 
-    Each non-blank, non-comment line must hold exactly two node labels,
-    separated by whitespace (or ``delimiter`` when given). Labels are mapped
-    to dense ids in order of first appearance. Duplicate edges and self-loops
-    are dropped; the drop counts are logged. Dropped lines never introduce
-    nodes.
+    Each line holds exactly two whitespace-separated node labels; blank lines
+    and lines whose first token starts with ``#`` are skipped. Labels are
+    mapped to dense ids in order of first appearance. Duplicate edges and
+    self-loops are dropped; the drop counts are logged. Dropped lines never
+    introduce nodes.
     """
     if isinstance(source, str):
         lines: Iterable[str] = source.splitlines()
@@ -118,27 +114,25 @@ def load_edge_list(
         lines = source
 
     ids: dict[str, int] = {}  # each label's id, in order of first appearance
-    edges: list[tuple[int, int]] = []
+    ends: list[int] = []  # the ids of each kept line's two labels, in turn
     self_loops = 0
 
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith(comment_prefix):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        tokens = [t for t in (s.strip() for s in line.split(delimiter)) if t]
         if len(tokens) != 2:
             raise EdgeListError(f"expected 2 node labels, got {len(tokens)}", lineno)
         a, b = tokens
         if a == b:
             self_loops += 1
             continue
-        for tok in (a, b):
-            ids.setdefault(tok, len(ids))
-        edges.append((ids[a], ids[b]))
+        ends.append(ids.setdefault(a, len(ids)))
+        ends.append(ids.setdefault(b, len(ids)))
 
-    if not edges:
+    if not ends:
         raise EdgeListError("no edges")
-    pairs = np.sort(np.array(edges, dtype=np.int64), axis=1)
+    pairs = np.sort(np.array(ends, dtype=np.int64).reshape(-1, 2), axis=1)
     repeat = _repeats(pairs[:, 0] * len(ids) + pairs[:, 1])
     duplicates = int(np.count_nonzero(repeat))
     if duplicates or self_loops:
@@ -150,10 +144,10 @@ def load_edge_list(
     return Graph.from_edges(len(ids), pairs[~repeat], list(ids))
 
 
-def read_edge_list(path, **kwargs) -> Graph:
-    """Load an edge list from a file path (UTF-8)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_edge_list(fh, **kwargs)
+def read_edge_list(path) -> Graph:
+    """Load an edge list from a file path (UTF-8; a leading byte-order mark is skipped)."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        return load_edge_list(fh)
 
 
 def save_edge_list(g: Graph, target: str | IO[str]) -> None:

@@ -392,6 +392,29 @@ class TestDim:
         assert code == 0
         assert json.loads(js.read_text())["methods"]["hop"]["points_used"] == 3
 
+    @pytest.mark.parametrize("flag", ["-q", "-v"])
+    def test_log_level_flags_under_a_configured_root(self, karate, tmp_path, capsys, caplog, flag):
+        # the root logger already has a handler here (caplog's), as in a host
+        # program, so logging.basicConfig sets no level
+        path = tmp_path / "split.txt"
+        bd.save_edge_list(karate, path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("island_a island_b\n")
+        package = logging.getLogger("boxdim")
+        before = package.level
+        try:
+            code, _, _ = run_cli(
+                [flag, "dim", "--input", str(path), "--trials", "5", "--threads", "1",
+                 "--csv", str(tmp_path / "out.csv"), "--json", str(tmp_path / "out.json")],
+                capsys,
+            )
+        finally:
+            package.setLevel(before)
+        assert code == 0
+        warned = any("disconnected" in r.getMessage() for r in caplog.records)
+        debugged = any(r.name == "boxdim.metrics" and r.levelno == logging.DEBUG for r in caplog.records)
+        assert (warned, debugged) == ((False, False) if flag == "-q" else (True, True))
+
 
 class TestCompare:
     def test_karate_two_rows(self, karate_file, tmp_path, capsys, monkeypatch):

@@ -35,9 +35,26 @@ class TestLoadEdgeList:
         g = bd.load_edge_list("# header\n\n1 2\n  \n# trailer\n2 3\n")
         assert g.edge_count == 2
 
-    def test_custom_comment_prefix_and_delimiter(self):
-        g = bd.load_edge_list("% note\n1,2\n2,3\n", comment_prefix="%", delimiter=",")
-        assert g.edge_count == 2
+    @pytest.mark.parametrize(
+        "text, refusal",
+        [
+            ("1 2\r\n2 3\r\n", None),
+            ("1\t2\n2\t3\n", None),
+            ("1 2 \n2 3\t \n", None),
+            ("  # note\n1 2\n\t#note\n2 3\n", None),
+            ("1 2 # note\n2 3\n", "line 1: expected 2 node labels, got 4"),
+        ],
+        ids=["crlf", "tabs", "trailing-whitespace", "indented-comment", "inline-comment"],
+    )
+    def test_one_whitespace_format(self, text, refusal):
+        # a stream keeps each line's "\r\n" or "\n", so the loader's own split sees it
+        if refusal is not None:
+            with pytest.raises(EdgeListError, match=f"^{refusal}$"):
+                bd.load_edge_list(io.StringIO(text))
+            return
+        g = bd.load_edge_list(io.StringIO(text))
+        assert g.node_labels == ("1", "2", "3")
+        assert g.edges.tolist() == [[0, 1], [1, 2]]
 
     def test_malformed_line_reports_line_number(self):
         with pytest.raises(EdgeListError, match="line 2"):
@@ -64,6 +81,14 @@ class TestLoadEdgeList:
         bd.save_edge_list(karate, path)
         g = bd.read_edge_list(path)
         assert (g.node_count, g.edge_count) == (34, 78)
+
+    @pytest.mark.parametrize("first", ["1 2", "# header\n1 2"], ids=["edge", "comment"])
+    def test_byte_order_mark_skipped(self, tmp_path, first):
+        path = tmp_path / "bom.txt"
+        path.write_text(f"\ufeff{first}\n2 3\n3 1\n", encoding="utf-8")
+        g = bd.read_edge_list(path)
+        assert g.node_labels == ("1", "2", "3")
+        assert g.edge_count == 3
 
     def test_round_trip_is_isomorphic(self):
         g = bd.load_edge_list("5 9\n9 2\n2 5\n2 7\n")
