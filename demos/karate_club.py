@@ -24,5 +24,5 @@ for method, (series, est) in results.items():
 print("\nscaling series (repulsion):")
 series, _ = results[bd.REPULSION]
 print(f"{'box size':>9} {'mean N_B':>9} {'std':>7}")
-for s in series.stats:
-    print(f"{s.box_size:>9} {s.mean:>9.2f} {s.std:>7.3f}")
+for b, row in zip(series.box_sizes, series.counts):  # one row of trial counts per size
+    print(f"{b:>9} {row.mean():>9.2f} {row.std():>7.3f}")

@@ -7,7 +7,6 @@ force over connecting paths.
 
 from .covering import (
     BoxCovering,
-    TrialStatistics,
     brute_force_min_boxes,
     covering_counts,
     greedy_box_cover,
@@ -58,7 +57,6 @@ __all__ = [
     "REPULSION",
     "ScalingSeries",
     "SierpinskiModule",
-    "TrialStatistics",
     "WeightedGraph",
     "all_pairs",
     "analyze",

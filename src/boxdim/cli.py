@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dimension import DEFAULT_MAX_POINTS, DegenerateScalingError, analyze_matrix
+from .dimension import DEFAULT_MAX_POINTS, analyze_matrix
 from .generators import MAX_SIERPINSKI_LEVEL, generate_sierpinski
 from .graphs import EdgeListError, Graph, largest_component, read_edge_list, save_edge_list
 from .metrics import HOP, REPULSION, DistanceMatrix, all_pairs
@@ -159,10 +159,10 @@ def _config_dict(args, dataset: str, threads: int) -> dict:
 
 
 def write_series_csv(series, path) -> None:
-    """Scaling series as CSV; floats keep full round-trip precision."""
+    """Scaling series as CSV, one line per box size; floats keep full round-trip precision."""
     lines = ["l_B,mean_NB,std_NB,min_NB,max_NB"]
-    for s in series.stats:
-        lines.append(f"{s.box_size},{s.mean!r},{s.std!r},{s.min},{s.max}")
+    for b, row in zip(series.box_sizes, series.counts):
+        lines.append(f"{b},{float(row.mean())!r},{float(row.std())!r},{row.min()},{row.max()}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -296,7 +296,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (DegenerateScalingError, ValueError, MemoryError) as exc:
+    except (ValueError, MemoryError) as exc:  # DegenerateScalingError is a ValueError
         print(f"analysis error: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
     except BrokenExecutor as exc:  # BrokenProcessPool: an all-pairs or trial worker died

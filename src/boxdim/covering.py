@@ -72,37 +72,6 @@ class BoxCovering:
 
 
 @dataclass(frozen=True, eq=False)
-class TrialStatistics:
-    """Box counts over randomized greedy trials at one box size.
-
-    ``counts[t]`` is the box count of trial ``t``; the summary fields use the
-    population standard deviation.
-    """
-
-    box_size: int
-    trials: int
-    mean: float
-    std: float
-    min: int
-    max: int
-    counts: np.ndarray
-
-    @classmethod
-    def from_counts(cls, box_size: int, counts: np.ndarray) -> "TrialStatistics":
-        counts = np.asarray(counts, dtype=np.int64)
-        counts.setflags(write=False)
-        return cls(
-            box_size=int(box_size),
-            trials=int(counts.size),
-            mean=float(counts.mean()),
-            std=float(counts.std()),
-            min=int(counts.min()),
-            max=int(counts.max()),
-            counts=counts,
-        )
-
-
-@dataclass(frozen=True, eq=False)
 class _SideLists:
     """Each node's near list at one box size, in node order: u's list
     ``cols[start[u]:start[u + 1]]`` holds the v != u with d(u, v) < box_size."""
@@ -336,11 +305,12 @@ def covering_counts(
     walks a node. Otherwise each trial walks the plan, on ``workers``
     forked processes, at most one per trial and per usable CPU, that share
     the plan built here; a worker that dies raises
-    ``concurrent.futures.process.BrokenProcessPool``. Box sizes must be
-    positive integers and ``master_seed`` non-negative, else ``ValueError``.
+    ``concurrent.futures.process.BrokenProcessPool``. Box sizes and
+    ``trials`` must be positive integers and ``master_seed`` non-negative,
+    else ``ValueError``. The matrix returned is read-only.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if not (isinstance(trials, (int, np.integer)) and trials >= 1):
+        raise ValueError(f"trials must be a positive integer, got {trials!r}")
     if not (isinstance(master_seed, (int, np.integer)) and master_seed >= 0):
         raise ValueError(f"master_seed must be a non-negative integer, got {master_seed!r}")
     plan = _plan(dm, box_sizes, trials)
@@ -360,7 +330,9 @@ def covering_counts(
         for t, col in enumerate(fork_map(_trial_counts, range(trials), workers, state)):
             counts[:, t] = col
     alone = np.array([entry.alone for entry in plan], dtype=np.int64)
-    return np.maximum(counts + alone[:, None], 1)
+    counts = np.maximum(counts + alone[:, None], 1)
+    counts.setflags(write=False)
+    return counts
 
 
 def brute_force_min_boxes(dm: DistanceMatrix, box_size) -> int:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covering import TrialStatistics, covering_counts
+from .covering import covering_counts
 from .graphs import Graph, largest_component
 from .metrics import REPULSION, DistanceMatrix, all_pairs, distinct_distances, sorted_distinct
 
@@ -34,12 +34,33 @@ class BoxSizeSchedule:
 
 @dataclass(frozen=True, eq=False)
 class ScalingSeries:
-    """Per-box-size trial statistics for one analyzed graph."""
+    """The greedy box counts of one analyzed graph, every trial at every box size.
 
-    stats: tuple[TrialStatistics, ...]
+    ``counts[i, t]`` is trial ``t``'s box count at ``box_sizes[i]``: one row
+    per size, at least one trial, every count an integer of at least 1, else
+    ``ValueError``. It is held as read-only int64, a private copy unless it
+    is already read-only int64.
+    """
+
+    box_sizes: tuple[int, ...]
+    counts: np.ndarray
     metric_kind: str
     node_count: int
     edge_count: int
+
+    def __post_init__(self):
+        sizes, counts = tuple(int(b) for b in self.box_sizes), np.asarray(self.counts)
+        if counts.ndim != 2 or counts.shape[0] != len(sizes) or counts.shape[1] < 1:
+            raise ValueError(f"counts of shape {counts.shape}, not {len(sizes)} sizes x trials")
+        if not np.issubdtype(counts.dtype, np.integer):
+            raise ValueError(f"box counts must be integers, got {counts.dtype}")
+        # a private copy unless it is already read-only int64
+        counts = counts.astype(np.int64, copy=counts.flags.writeable)
+        if (counts < 1).any():
+            raise ValueError("box counts must be at least 1")
+        counts.setflags(write=False)
+        object.__setattr__(self, "box_sizes", sizes)
+        object.__setattr__(self, "counts", counts)
 
 
 @dataclass(frozen=True)
@@ -120,25 +141,20 @@ def estimate_dimension(
     """Fit log(N_B) vs log(box_size); the dimension is minus the slope.
 
     ``fit_range`` restricts the fit to box sizes in [lo, hi]; at least three
-    schedule points must remain. One least-squares pass fits the mean series
-    and each trial's own series: the mean's slope gives the dimension, r^2
-    and the slope's standard error, and the population std of the trials'
-    slopes gives ``dimension_std``, 0.0 for one trial.
+    schedule points must remain. One least-squares pass fits the rows of
+    ``series.counts``: their means' slope gives the dimension, r^2 and the
+    slope's standard error, and the population std of each trial's own slope
+    (one per column) gives ``dimension_std``, 0.0 for one trial.
     """
-    stats = [series.stats[i] for i in _fit_points([s.box_size for s in series.stats], fit_range)]
-    means = np.array([s.mean for s in stats], dtype=np.float64)
-    if (means <= 0).any():
-        raise AssertionError("box counts must be positive")
-    if any(s.trials != stats[0].trials for s in stats):
-        raise ValueError("inconsistent trial counts across box sizes")
-
-    xc = np.log(np.array([s.box_size for s in stats], dtype=np.float64))
+    kept = _fit_points(series.box_sizes, fit_range)
+    xc = np.log(np.array(series.box_sizes, dtype=np.float64)[kept])
     xc -= xc.mean()
     sxx = float(xc @ xc)
     if sxx == 0.0:
         raise ValueError("all box sizes identical; cannot fit")
     # column 0 is the mean series, column t + 1 trial t's counts
-    y = np.log(np.column_stack([means, np.stack([s.counts for s in stats])]))
+    counts = series.counts[kept]
+    y = np.log(np.column_stack([counts.mean(axis=1), counts]))
     yc = y - y.mean(axis=0)
     slopes = xc @ yc / sxx
     resid = yc[:, 0] - slopes[0] * xc
@@ -161,15 +177,7 @@ def series_from_counts(
     node_count: int,
     edge_count: int,
 ) -> ScalingSeries:
-    stats = tuple(
-        TrialStatistics.from_counts(b, counts[j]) for j, b in enumerate(schedule_values)
-    )
-    return ScalingSeries(
-        stats=stats,
-        metric_kind=dm.metric_kind,
-        node_count=node_count,
-        edge_count=edge_count,
-    )
+    return ScalingSeries(schedule_values, counts, dm.metric_kind, node_count, edge_count)
 
 
 def analyze(

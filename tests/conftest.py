@@ -181,10 +181,9 @@ def is_valid_covering(dm: bd.DistanceMatrix, covering: bd.BoxCovering) -> bool:
     return not bool((dm.dist[same] >= covering.box_size).any())
 
 
-def trial_stats(dm: bd.DistanceMatrix, box_size: int, trials: int, master_seed: int):
-    """Box-count statistics of the greedy trials at one box size."""
-    counts = bd.covering_counts(dm, [box_size], trials, master_seed)
-    return bd.TrialStatistics.from_counts(box_size, counts[0])
+def trial_counts(dm: bd.DistanceMatrix, box_size: int, trials: int, master_seed: int):
+    """Each greedy trial's box count at one box size."""
+    return bd.covering_counts(dm, [box_size], trials, master_seed)[0]
 
 
 def graph_weighted_edges(g: bd.Graph, metric: str):

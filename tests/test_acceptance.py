@@ -26,7 +26,7 @@ from conftest import (
     graph_weighted_edges,
     is_valid_covering,
     random_connected_graph,
-    trial_stats,
+    trial_counts,
 )
 
 SIERPINSKI_TARGET = math.log(3) / math.log(2)  # 1.5850
@@ -64,13 +64,9 @@ def test_criterion_1_every_order_subclaim(example6_repulsion):
 
 
 def test_criterion_2_synthetic_regression_exactness():
-    from boxdim.covering import TrialStatistics
-
     sizes = [1, 2, 4, 8]
-    stats = tuple(
-        TrialStatistics.from_counts(b, np.array([64 // b**2])) for b in sizes
-    )
-    series = bd.ScalingSeries(stats=stats, metric_kind=bd.REPULSION, node_count=0, edge_count=0)
+    counts = [[64 // b**2] for b in sizes]
+    series = bd.ScalingSeries(sizes, counts, bd.REPULSION, node_count=0, edge_count=0)
     est = bd.estimate_dimension(series)
     assert abs(est.dimension - 2.0) < 1e-9
     assert abs(est.r_squared - 1.0) < 1e-9
@@ -190,10 +186,10 @@ def test_criterion_9_trivial_endpoints(example6, karate):
         fixtures.append(bd.all_pairs(bd.edge_repulsive_force(g), bd.REPULSION))
     for dm in fixtures:
         smallest = int(bd.distinct_distances(dm)[0])
-        at_min = trial_stats(dm, smallest, trials=3, master_seed=0)
-        beyond = trial_stats(dm, dm.diameter + 1, trials=3, master_seed=0)
-        assert at_min.mean == dm.n and at_min.std == 0.0
-        assert beyond.mean == 1.0 and beyond.std == 0.0
+        at_min = trial_counts(dm, smallest, trials=3, master_seed=0)
+        beyond = trial_counts(dm, dm.diameter + 1, trials=3, master_seed=0)
+        assert at_min.mean() == dm.n and at_min.std() == 0.0
+        assert beyond.mean() == 1.0 and beyond.std() == 0.0
     ok(9, "N_B = n at the smallest distance and N_B = 1 beyond the diameter")
 
 

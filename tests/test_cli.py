@@ -256,6 +256,7 @@ class TestDim:
     @pytest.mark.parametrize(
         "option, value",
         [
+            ("--seed", "-1"),
             ("--threads", "0"),
             ("--threads", "-3"),
             ("--max-points", "2"),
@@ -292,6 +293,23 @@ class TestDim:
         code, _, stderr = run_cli(["dim", "--gen", "menger:2", "--trials", "5"], capsys)
         assert code == 2
         assert "menger" in stderr
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [("sierpinski:x", "bad generator spec 'sierpinski:x'"), ("sierpinski:9", "level above cap")],
+    )
+    def test_bad_generator_level_exit_2(self, capsys, spec, message):
+        code, _, stderr = run_cli(["dim", "--gen", spec, "--trials", "5"], capsys)
+        assert code == 2
+        assert f"error: {message}" in stderr
+
+    def test_csv_naming_a_directory_exit_2(self, karate_file, tmp_path, capsys):
+        # its parent exists, so only the write itself can refuse it
+        args = ["dim", "--input", str(karate_file), "--method", "hop", "--trials", "5",
+                "--csv", str(tmp_path), "--json", str(tmp_path / "s.json")]
+        code, _, stderr = run_cli(args, capsys)
+        assert code == 2
+        assert f"error: cannot write {tmp_path}: " in stderr
 
     def test_byte_identical_csv_across_runs_and_threads(self, karate_file, tmp_path, capsys):
         blobs = []
@@ -537,7 +555,7 @@ def test_write_read_series_csv_round_trip(tmp_path, karate):
     write_series_csv(series, path)
     back_sizes, back_means = read_series_csv(path)
     assert back_sizes == list(sizes)
-    assert back_means == [s.mean for s in series.stats]
+    assert back_means == counts.mean(axis=1).tolist()
 
 
 def test_runtime_imports_neither_scipy_nor_numba():

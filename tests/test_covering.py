@@ -1,5 +1,6 @@
 import concurrent.futures
 import logging
+import re
 import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 from itertools import combinations, permutations
@@ -19,7 +20,7 @@ from conftest import (
     random_connected_graph,
     set_usable_cpus,
     time_limit,
-    trial_stats,
+    trial_counts,
 )
 
 # list lengths per walked node that send every size with a list entry to the
@@ -170,6 +171,11 @@ class TestBruteForce:
             )
             assert bd.brute_force_min_boxes(dm, int(lb)) == best
 
+    def test_empty_matrix_refused(self):
+        dm = bd.DistanceMatrix(bd.HOP, np.zeros((0, 0), dtype=np.uint8), 0)
+        with pytest.raises(ValueError, match="empty distance matrix"):
+            bd.brute_force_min_boxes(dm, 2)
+
     def test_size_bound(self):
         g = random_connected_graph(13, 5, seed=0)
         dm = bd.all_pairs(g, bd.HOP)
@@ -189,37 +195,37 @@ class TestBruteForce:
 
 class TestRunTrials:
     def test_box_size_above_diameter(self, example6_repulsion):
-        stats = trial_stats(example6_repulsion, 99, trials=5, master_seed=1)
-        assert stats.mean == 1.0
-        assert stats.std == 0.0
-        assert stats.min == stats.max == 1
+        counts = trial_counts(example6_repulsion, 99, trials=5, master_seed=1)
+        assert counts.mean() == 1.0
+        assert counts.std() == 0.0
+        assert counts.min() == counts.max() == 1
 
     def test_worked_example_trials_frozen(self, example6_repulsion):
         # greedy hits 3 boxes on some orders (see ledger), so the mean sits
         # slightly above the optimum of 2; value frozen from a reference run
-        stats = trial_stats(example6_repulsion, 10, trials=100, master_seed=42)
-        assert stats.min == 2
-        assert stats.max == 3
-        assert stats.mean == pytest.approx(2.07)
-        assert set(np.unique(stats.counts)) <= {2, 3}
+        counts = trial_counts(example6_repulsion, 10, trials=100, master_seed=42)
+        assert counts.min() == 2
+        assert counts.max() == 3
+        assert counts.mean() == pytest.approx(2.07)
+        assert set(np.unique(counts)) <= {2, 3}
 
     def test_karate_hop_lb3_frozen(self, karate):
         dm = bd.all_pairs(karate, bd.HOP)
-        stats = trial_stats(dm, 3, trials=1000, master_seed=42)
-        assert (stats.min, stats.max) == (4, 6)
-        assert stats.mean == pytest.approx(4.442)
-        assert stats.std == pytest.approx(0.5278598298791073)
+        counts = trial_counts(dm, 3, trials=1000, master_seed=42)
+        assert (counts.min(), counts.max()) == (4, 6)
+        assert counts.mean() == pytest.approx(4.442)
+        assert counts.std() == pytest.approx(0.5278598298791073)
 
     def test_single_trial_zero_std(self, example6_hop):
-        stats = trial_stats(example6_hop, 2, trials=1, master_seed=7)
-        assert stats.std == 0.0
-        assert stats.trials == 1
+        counts = trial_counts(example6_hop, 2, trials=1, master_seed=7)
+        assert counts.std() == 0.0
+        assert counts.size == 1
 
     def test_deterministic_across_runs(self, karate):
         dm = bd.all_pairs(karate, bd.HOP)
-        a = trial_stats(dm, 2, trials=50, master_seed=9)
-        b = trial_stats(dm, 2, trials=50, master_seed=9)
-        assert np.array_equal(a.counts, b.counts)
+        a = trial_counts(dm, 2, trials=50, master_seed=9)
+        b = trial_counts(dm, 2, trials=50, master_seed=9)
+        assert np.array_equal(a, b)
 
     def test_deterministic_across_workers(self, monkeypatch):
         # above 64 nodes, so the trials run on forked workers
@@ -240,6 +246,18 @@ class TestRunTrials:
         monkeypatch.setattr(covering, "_plan", no_plan)
         with pytest.raises(ValueError, match="master_seed must be a non-negative integer"):
             bd.covering_counts(dm, [2, 4, 8], trials=6, master_seed=master_seed, workers=2)
+
+    @pytest.mark.parametrize("trials", [2.5, np.float64(3.0)])
+    def test_bad_trials_refused_before_the_plan(self, monkeypatch, trials):
+        # above 64 nodes, as for the seed; a float count once failed inside np.zeros
+        dm = bd.all_pairs(random_connected_graph(100, 40, seed=2), bd.HOP)
+
+        def no_plan(*args, **kwargs):
+            raise AssertionError("the covering plan was built")
+
+        monkeypatch.setattr(covering, "_plan", no_plan)
+        with pytest.raises(ValueError, match=re.escape(f"trials must be a positive integer, got {trials!r}")):
+            bd.covering_counts(dm, [2, 4, 8], trials=trials, master_seed=1, workers=2)
 
     def test_dead_worker_raises_instead_of_hanging(self, monkeypatch):
         dm = bd.all_pairs(random_connected_graph(100, 40, seed=2), bd.HOP)
@@ -279,7 +297,7 @@ class TestRunTrials:
 
     def test_trials_must_be_positive(self, example6_hop):
         with pytest.raises(ValueError, match="trials"):
-            trial_stats(example6_hop, 2, trials=0, master_seed=1)
+            trial_counts(example6_hop, 2, trials=0, master_seed=1)
 
     def test_mean_non_increasing_on_fixtures(self, karate):
         # verified to hold on these fixtures over the default schedule;

@@ -5,7 +5,6 @@ import pytest
 from scipy import stats as sps
 
 import boxdim as bd
-from boxdim.covering import TrialStatistics
 from boxdim.dimension import DegenerateScalingError, _snap_log_targets, series_from_counts
 
 from conftest import random_connected_graph
@@ -23,11 +22,9 @@ def no_trials(*args, **kwargs):
 
 
 def synthetic_series(sizes, counts_per_size, metric=bd.REPULSION):
-    stats = tuple(
-        TrialStatistics.from_counts(b, np.atleast_1d(c))
-        for b, c in zip(sizes, counts_per_size)
-    )
-    return bd.ScalingSeries(stats=stats, metric_kind=metric, node_count=0, edge_count=0)
+    """Row i holds the trial counts at sizes[i]; a flat list is one trial."""
+    counts = np.reshape(counts_per_size, (len(sizes), -1))
+    return bd.ScalingSeries(sizes, counts, metric, node_count=0, edge_count=0)
 
 
 class TestBuildSchedule:
@@ -118,6 +115,10 @@ class TestEstimateDimension:
         est = bd.estimate_dimension(synthetic_series([1, 3, 9], [5, 5, 5]))
         assert est.dimension == pytest.approx(0.0, abs=1e-12)
 
+    def test_max_points_below_three_refused(self, example6_hop):
+        with pytest.raises(ValueError, match="max_points must be at least 3"):
+            bd.build_schedule(example6_hop, max_points=2)
+
     def test_too_few_points(self):
         with pytest.raises(DegenerateScalingError):
             bd.estimate_dimension(synthetic_series([2, 4], [8, 2]))
@@ -180,14 +181,13 @@ class TestEstimateDimension:
         assert est.dimension_std == 0.0
 
     def test_inconsistent_trials_rejected(self):
-        stats = (
-            TrialStatistics.from_counts(1, np.array([5, 5])),
-            TrialStatistics.from_counts(2, np.array([4, 4])),
-            TrialStatistics.from_counts(4, np.array([3])),
-        )
-        series = bd.ScalingSeries(stats=stats, metric_kind=bd.HOP, node_count=0, edge_count=0)
-        with pytest.raises(ValueError, match="inconsistent"):
-            bd.estimate_dimension(series)
+        # a ragged matrix is refused when the series is built
+        with pytest.raises(ValueError, match="inhomogeneous"):
+            bd.ScalingSeries((1, 2, 4), [[5, 5], [4, 4], [3]], bd.HOP, node_count=0, edge_count=0)
+
+    def test_identical_box_sizes_refused(self):
+        with pytest.raises(ValueError, match="all box sizes identical"):
+            bd.estimate_dimension(synthetic_series([2, 2, 2], [5, 4, 3]))
 
 
 class TestAnalyze:
@@ -195,9 +195,7 @@ class TestAnalyze:
         series, est = bd.analyze(karate, method=bd.REPULSION, trials=200, seed=42)
         again, est2 = bd.analyze(karate, method=bd.REPULSION, trials=200, seed=42)
         assert est.dimension == est2.dimension
-        assert all(
-            np.array_equal(a.counts, b.counts) for a, b in zip(series.stats, again.stats)
-        )
+        assert np.array_equal(series.counts, again.counts)
         assert 0.7 < est.dimension < 1.4
 
     def test_karate_hop_range(self, karate):
@@ -208,8 +206,7 @@ class TestAnalyze:
         series, _ = bd.analyze(karate, method=bd.HOP, trials=10, seed=1)
         assert (series.node_count, series.edge_count) == (34, 78)
         assert series.metric_kind == bd.HOP
-        trials = {s.trials for s in series.stats}
-        assert trials == {10}
+        assert series.counts.shape == (len(series.box_sizes), 10)
 
     def test_extracts_largest_component(self):
         g = bd.load_edge_list("1 2\n2 3\n3 4\n4 5\nx y\n")
@@ -227,10 +224,10 @@ class TestAnalyze:
 
     def test_min_box_size_filter(self, karate):
         series, est = bd.analyze(karate, method=bd.HOP, trials=10, seed=0, min_box_size=2)
-        assert series.stats[0].box_size == 2
-        assert est.points_used == len(series.stats)
+        assert series.box_sizes[0] == 2
+        assert est.points_used == len(series.box_sizes)
         sched = bd.build_schedule(bd.all_pairs(karate, bd.HOP), min_box_size=2)
-        assert sched.values == tuple(s.box_size for s in series.stats)
+        assert sched.values == series.box_sizes
 
     def test_collapsed_schedule_refused_before_the_trials(self, monkeypatch):
         dm = collapsing_path()
@@ -268,5 +265,36 @@ def test_series_from_counts_round_trip(karate):
     sizes = (1, 2, 3, 4, 5)
     counts = bd.covering_counts(dm, sizes, trials=8, master_seed=0)
     series = series_from_counts(dm, sizes, counts, karate.node_count, karate.edge_count)
-    assert tuple(s.box_size for s in series.stats) == sizes
-    assert series.stats[0].mean == counts[0].mean()
+    assert series.box_sizes == sizes
+    # the trials' read-only matrix is held as it is, without a copy
+    assert series.counts is counts and not counts.flags.writeable
+
+
+class TestScalingSeries:
+    def test_writable_counts_copied(self):
+        mine = np.array([[60, 62], [17, 19], [5, 5]], dtype=np.int32)
+        series = bd.ScalingSeries((1, 2, 4), mine, bd.HOP, node_count=0, edge_count=0)
+        mine[0, 0] = 999  # a writable input is copied, so the series keeps its counts
+        assert series.counts.tolist() == [[60, 62], [17, 19], [5, 5]]
+        assert series.counts.dtype == np.int64 and not series.counts.flags.writeable
+        assert mine.flags.writeable
+        own = np.array([[60], [17], [5]])
+        series = bd.ScalingSeries((1, 2, 4), own, bd.HOP, node_count=0, edge_count=0)
+        own[:] = 7
+        assert own.flags.writeable and series.counts.ravel().tolist() == [60, 17, 5]
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ([[5, 5], [4, 4]], "not 3 sizes x trials"),
+            ([5, 4, 3], "not 3 sizes x trials"),
+            (np.ones((3, 0), dtype=np.int64), "not 3 sizes x trials"),
+            ([[5], [4], [0]], "at least 1"),
+            ([[5, 5], [4, -1], [3, 3]], "at least 1"),
+            ([[5.0], [4.0], [3.0]], "must be integers"),
+        ],
+        ids=["rows", "1-d", "no-trials", "zero", "negative", "float"],
+    )
+    def test_bad_counts_refused(self, counts, message):
+        with pytest.raises(ValueError, match=message):
+            bd.ScalingSeries((1, 2, 4), counts, bd.HOP, node_count=0, edge_count=0)

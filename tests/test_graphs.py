@@ -159,6 +159,15 @@ class TestGraphConstruction:
         with pytest.raises(ValueError, match="out of range"):
             bd.Graph.from_edges(2, [(0, 5)])
 
+    @pytest.mark.parametrize(
+        "node_count, labels, message",
+        [(-1, None, "node_count must be non-negative"), (2, ["a"], "node_labels length")],
+        ids=["negative-count", "short-labels"],
+    )
+    def test_rejects_bad_node_count_or_labels(self, node_count, labels, message):
+        with pytest.raises(ValueError, match=message):
+            bd.Graph.from_edges(node_count, [], node_labels=labels)
+
     def test_adjacency_matches_edges(self):
         g = bd.Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         assert g.indptr.tolist() == [0, 1, 3, 5, 6]

@@ -239,6 +239,18 @@ class TestAllPairs:
         assert set(off.tolist()) == {1}
         assert dm.diameter == 1
 
+    @pytest.mark.parametrize(
+        "g, error, message",
+        [
+            (bd.Graph.from_edges(0, []), ValueError, "empty graph"),
+            ("1 2\n", TypeError, "expected Graph or WeightedGraph, got str"),
+        ],
+        ids=["no-nodes", "not-a-graph"],
+    )
+    def test_refused_inputs(self, g, error, message):
+        with pytest.raises(error, match=message):
+            bd.all_pairs(g, bd.HOP)
+
     def test_disconnected_rejected(self):
         # two equal halves, node 0 isolated, and node 0 in the larger
         # component, under both metrics and every push limit
