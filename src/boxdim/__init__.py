@@ -17,7 +17,6 @@ from .dimension import (
     DimensionEstimate,
     ScalingSeries,
     analyze,
-    analyze_matrix,
     build_schedule,
     estimate_dimension,
 )
@@ -26,7 +25,6 @@ from .graphs import (
     EdgeListError,
     Graph,
     degrees,
-    is_connected,
     largest_component,
     load_edge_list,
     read_edge_list,
@@ -60,7 +58,6 @@ __all__ = [
     "WeightedGraph",
     "all_pairs",
     "analyze",
-    "analyze_matrix",
     "brute_force_min_boxes",
     "build_schedule",
     "covering_counts",
@@ -70,7 +67,6 @@ __all__ = [
     "estimate_dimension",
     "generate_sierpinski",
     "greedy_box_cover",
-    "is_connected",
     "karate_club",
     "largest_component",
     "load_edge_list",

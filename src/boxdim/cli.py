@@ -20,10 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dimension import DEFAULT_MAX_POINTS, analyze_matrix
+from .dimension import DEFAULT_MAX_POINTS, pipeline
 from .generators import MAX_SIERPINSKI_LEVEL, generate_sierpinski
-from .graphs import EdgeListError, Graph, largest_component, read_edge_list, save_edge_list
-from .metrics import HOP, REPULSION, DistanceMatrix, all_pairs
+from .graphs import EdgeListError, Graph, read_edge_list, save_edge_list
+from .metrics import HOP, REPULSION, DistanceMatrix
 from .pool import usable_workers
 
 EXIT_OK = 0
@@ -199,25 +199,15 @@ def _run_analysis(args, methods: list[str]) -> int:
         if path is not None and not Path(path).parent.is_dir():
             raise InputError(f"cannot write {path}: no directory {Path(path).parent}")
     dataset, graph = _load_input(args)
-    # once for every method, so a disconnected input is reported once
-    comp = largest_component(graph)
     threads = usable_workers(8 if args.threads is None else args.threads)
     fit_range = tuple(args.fit_range) if args.fit_range else None
     started = time.perf_counter()
 
     results = {}
-    for method in methods:
-        dm = all_pairs(comp, method, threads)
-        series, estimate = analyze_matrix(
-            dm,
-            comp.edge_count,
-            trials=args.trials,
-            seed=args.seed,
-            max_points=args.max_points,
-            fit_range=fit_range,
-            workers=threads,
-            min_box_size=args.min_lb,
-        )
+    for dm, series, estimate in pipeline(
+        graph, methods, args.trials, args.seed, args.max_points, fit_range, threads, args.min_lb
+    ):
+        method = estimate.method
         if args.dump_matrix and method == methods[0]:
             with _writing(args.dump_matrix):
                 _dump_matrix_csv(dm, args.dump_matrix)

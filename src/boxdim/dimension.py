@@ -7,6 +7,7 @@ ordinary least-squares fit of log(mean N_B) against log(box_size).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -177,7 +178,40 @@ def series_from_counts(
     node_count: int,
     edge_count: int,
 ) -> ScalingSeries:
+    """The series of ``counts`` at ``schedule_values`` on ``dm``; kept for ``perfbench/run.py``."""
     return ScalingSeries(schedule_values, counts, dm.metric_kind, node_count, edge_count)
+
+
+def pipeline(
+    g: Graph,
+    methods: Iterable[str],
+    trials: int = 1000,
+    seed: int = 42,
+    max_points: int = DEFAULT_MAX_POINTS,
+    fit_range: tuple[float, float] | None = None,
+    workers: int = 1,
+    min_box_size: int | None = None,
+) -> Iterator[tuple[DistanceMatrix, ScalingSeries, DimensionEstimate]]:
+    """Yield ``(dm, series, estimate)`` for each method, in turn, on one component.
+
+    Stages: largest component, once -> per method, all-pairs distances
+    (``all_pairs`` weighs repulsion's degree products and refuses an unknown
+    method) -> box-size schedule -> randomized greedy coverings -> log-log
+    regression. ``build_schedule`` drops the sizes below ``min_box_size`` and
+    refuses a sweep of fewer than three sizes, and a ``fit_range`` that keeps
+    fewer than three is refused too, both before any trial runs. ``workers``
+    forked processes relax the all-pairs columns and run the trials.
+    """
+    comp = largest_component(g)
+    for method in methods:
+        dm = all_pairs(comp, method, workers)
+        values = build_schedule(dm, max_points, min_box_size).values
+        _fit_points(values, fit_range)  # refused before the trials run
+        counts = covering_counts(dm, values, trials, seed, workers=workers)
+        series = ScalingSeries(values, counts, dm.metric_kind, dm.n, comp.edge_count)
+        yield dm, series, estimate_dimension(series, fit_range)
+        # one matrix alive at a time: release it before the next method builds its own
+        del dm
 
 
 def analyze(
@@ -190,43 +224,12 @@ def analyze(
     workers: int = 1,
     min_box_size: int | None = None,
 ) -> tuple[ScalingSeries, DimensionEstimate]:
-    """Estimate the fractal dimension of a graph end to end.
+    """Estimate the fractal dimension of a graph end to end under ``method``.
 
-    Pipeline: largest component -> all-pairs distances under ``method``
-    (``all_pairs`` weighs repulsion's degree products and refuses an unknown
-    method) -> ``analyze_matrix``. ``workers`` forked processes relax the
-    all-pairs columns and run the trials. Returns the scaling series and the
-    estimate.
+    Runs ``pipeline``'s stages, the same body as the command line's, for one
+    method. Returns the scaling series and the estimate.
     """
-    comp = largest_component(g)
-    dm = all_pairs(comp, method, workers)
-    return analyze_matrix(
-        dm, comp.edge_count, trials=trials, seed=seed, max_points=max_points,
-        fit_range=fit_range, workers=workers, min_box_size=min_box_size,
-    )
-
-
-def analyze_matrix(
-    dm: DistanceMatrix,
-    edge_count: int,
-    trials: int = 1000,
-    seed: int = 42,
-    max_points: int = DEFAULT_MAX_POINTS,
-    fit_range: tuple[float, float] | None = None,
-    workers: int = 1,
-    min_box_size: int | None = None,
-) -> tuple[ScalingSeries, DimensionEstimate]:
-    """Estimate the fractal dimension from a connected graph's distance matrix.
-
-    Pipeline: box-size schedule -> randomized greedy coverings -> log-log
-    regression. ``edge_count`` is the graph's, recorded in the series.
-    ``build_schedule`` drops the sizes below ``min_box_size`` and refuses a
-    sweep of fewer than three sizes, and a ``fit_range`` that keeps fewer
-    than three is refused too, both before any trial runs.
-    """
-    values = build_schedule(dm, max_points, min_box_size).values
-    _fit_points(values, fit_range)  # refused before the trials run
-    counts = covering_counts(dm, values, trials, seed, workers=workers)
-    series = series_from_counts(dm, values, counts, dm.n, edge_count)
-    estimate = estimate_dimension(series, fit_range)
+    _, series, estimate = next(pipeline(
+        g, [method], trials, seed, max_points, fit_range, workers, min_box_size
+    ))
     return series, estimate

@@ -103,10 +103,10 @@ def load_edge_list(source: str | IO[str] | Iterable[str]) -> Graph:
     """Parse a two-column edge list into a Graph.
 
     Each line holds exactly two whitespace-separated node labels; blank lines
-    and lines whose first token starts with ``#`` are skipped. Labels are
-    mapped to dense ids in order of first appearance. Duplicate edges and
-    self-loops are dropped; the drop counts are logged. Dropped lines never
-    introduce nodes.
+    and lines whose first token starts with ``#`` are skipped, and a second
+    label that starts with ``#`` is refused. Labels are mapped to dense ids in
+    order of first appearance. Duplicate edges and self-loops are dropped;
+    the drop counts are logged. Dropped lines never introduce nodes.
     """
     if isinstance(source, str):
         lines: Iterable[str] = source.splitlines()
@@ -124,6 +124,8 @@ def load_edge_list(source: str | IO[str] | Iterable[str]) -> Graph:
         if len(tokens) != 2:
             raise EdgeListError(f"expected 2 node labels, got {len(tokens)}", lineno)
         a, b = tokens
+        if b.startswith("#"):  # save_edge_list would write it as a comment line
+            raise EdgeListError(f"label {b!r} starts with '#'", lineno)
         if a == b:
             self_loops += 1
             continue
@@ -184,10 +186,6 @@ def _component_roots(g: Graph) -> np.ndarray:
             label = label[label]
         if np.array_equal(label, before):
             return label
-
-
-def is_connected(g: Graph) -> bool:
-    return not _component_roots(g).any()
 
 
 def largest_component(g: Graph) -> Graph:

@@ -236,7 +236,7 @@ class TestDim:
         def no_analysis(*args, **kwargs):
             raise AssertionError("the analysis ran")
 
-        monkeypatch.setattr(cli, "all_pairs", no_analysis)
+        monkeypatch.setattr(dimension, "all_pairs", no_analysis)
         paths = {"--csv": tmp_path / "s.csv", "--json": tmp_path / "s.json"}
         paths[flag] = tmp_path / "missing" / "out"
         args = ["dim", "--input", str(karate_file), "--method", "hop", "--trials", "5"]

@@ -230,27 +230,27 @@ class TestAnalyze:
         assert sched.values == series.box_sizes
 
     def test_collapsed_schedule_refused_before_the_trials(self, monkeypatch):
-        dm = collapsing_path()
+        g = bd.Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        # analyze weighs the path by degree products; the collapsing forces replace them
+        monkeypatch.setattr(bd.dimension, "all_pairs", lambda *args: collapsing_path())
         monkeypatch.setattr(bd.dimension, "covering_counts", no_trials)
         with pytest.raises(DegenerateScalingError, match="degenerate scaling range"):
-            bd.analyze_matrix(dm, 3, trials=50, max_points=3)
+            bd.analyze(g, bd.REPULSION, trials=50, max_points=3)
 
     def test_min_box_size_leaving_two_refused_before_the_trials(self, karate, monkeypatch):
         # karate hop sweeps 1..5, so sizes from 4 on leave 4 and 5
-        dm = bd.all_pairs(karate, bd.HOP)
         with pytest.raises(DegenerateScalingError, match="degenerate scaling range"):
-            bd.build_schedule(dm, min_box_size=4)
+            bd.build_schedule(bd.all_pairs(karate, bd.HOP), min_box_size=4)
         monkeypatch.setattr(bd.dimension, "covering_counts", no_trials)
         with pytest.raises(DegenerateScalingError, match="degenerate scaling range"):
-            bd.analyze_matrix(dm, karate.edge_count, trials=5, min_box_size=4)
+            bd.analyze(karate, bd.HOP, trials=5, min_box_size=4)
 
     @pytest.mark.parametrize("fit_range", [(100000, 200000), (2, 3)])
     def test_empty_fit_range_refused_before_the_trials(self, karate, monkeypatch, fit_range):
         # karate hop sweeps 1..5: neither range keeps 3 sizes, so no trial may run
-        dm = bd.all_pairs(karate, bd.HOP)
         monkeypatch.setattr(bd.dimension, "covering_counts", no_trials)
         with pytest.raises(DegenerateScalingError, match=r"\d point\(s\) in fit range \(need 3\)"):
-            bd.analyze_matrix(dm, karate.edge_count, trials=5, fit_range=fit_range)
+            bd.analyze(karate, bd.HOP, trials=5, fit_range=fit_range)
 
     def test_sierpinski_comparative_claim_level4(self):
         g = bd.generate_sierpinski(4).graph

@@ -32,7 +32,7 @@ class TestSierpinski:
     @pytest.mark.parametrize("level", [0, 1, 2, 3])
     def test_connected_and_simple(self, level):
         g = bd.generate_sierpinski(level).graph
-        assert bd.is_connected(g)
+        assert bd.largest_component(g) is g
         # from_edges already rejects self-loops/duplicates; re-check the pairs
         edges = g.edges
         assert (edges[:, 0] < edges[:, 1]).all()

@@ -43,8 +43,13 @@ class TestLoadEdgeList:
             ("1 2 \n2 3\t \n", None),
             ("  # note\n1 2\n\t#note\n2 3\n", None),
             ("1 2 # note\n2 3\n", "line 1: expected 2 node labels, got 4"),
+            # saved, "#b c" would read back as a comment line
+            ("1 2\nx #b\nc #b\nc x\n", "line 2: label '#b' starts with '#'"),
         ],
-        ids=["crlf", "tabs", "trailing-whitespace", "indented-comment", "inline-comment"],
+        ids=[
+            "crlf", "tabs", "trailing-whitespace", "indented-comment", "inline-comment",
+            "hash-label",
+        ],
     )
     def test_one_whitespace_format(self, text, refusal):
         # a stream keeps each line's "\r\n" or "\n", so the loader's own split sees it
@@ -209,7 +214,8 @@ class TestLargestComponent:
 
     def test_output_is_connected(self):
         g = bd.load_edge_list("1 2\n2 3\n4 5\n")
-        assert bd.is_connected(bd.largest_component(g))
+        comp = bd.largest_component(g)
+        assert bd.largest_component(comp) is comp
 
     def test_discard_count_logged(self, caplog):
         g = bd.load_edge_list("1 2\n2 3\n3 1\nx y\n")
