@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 usage/input error (including an unreadable input or
 an unwritable output file), 3 analysis error (including a worker process
-that died).
+that died). A run that fails, or is interrupted, removes the outputs it
+already wrote.
 """
 from __future__ import annotations
 
@@ -13,7 +14,6 @@ import math
 import sys
 import time
 from concurrent.futures import BrokenExecutor
-from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -144,20 +144,6 @@ def _load_input(args) -> tuple[str, Graph]:
     return f"sierpinski{level}", module.graph
 
 
-def _config_dict(args, dataset: str, threads: int) -> dict:
-    return {
-        "dataset": dataset,
-        "input": args.input,
-        "gen": args.gen,
-        "trials": args.trials,
-        "seed": args.seed,
-        "max_points": args.max_points,
-        "fit_range": list(args.fit_range) if args.fit_range else None,
-        "min_lb": args.min_lb,
-        "threads": threads,
-    }
-
-
 def write_series_csv(series, path) -> None:
     """Scaling series as CSV, one line per box size; floats keep full round-trip precision."""
     lines = ["l_B,mean_NB,std_NB,min_NB,max_NB"]
@@ -166,13 +152,18 @@ def write_series_csv(series, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-@contextmanager
-def _writing(path):
-    """Report a failure to write ``path`` as an input error (exit 2)."""
+def _write(path, emit, written: list) -> None:
+    """Write ``path`` with ``emit(path)``, log it and record it in ``written``.
+
+    A failure to write is an input error (exit 2); a path whose own write
+    failed is not recorded, so it is never removed.
+    """
     try:
-        yield
+        emit(path)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
+    logger.info("wrote %s", path)
+    written.append(path)
 
 
 def _dump_matrix_csv(dm: DistanceMatrix, path) -> None:
@@ -203,38 +194,47 @@ def _run_analysis(args, methods: list[str]) -> int:
     fit_range = tuple(args.fit_range) if args.fit_range else None
     started = time.perf_counter()
 
-    results = {}
-    for dm, series, estimate in pipeline(
-        graph, methods, args.trials, args.seed, args.max_points, fit_range, threads, args.min_lb
-    ):
-        method = estimate.method
-        if args.dump_matrix and method == methods[0]:
-            with _writing(args.dump_matrix):
-                _dump_matrix_csv(dm, args.dump_matrix)
-            logger.info("wrote %s", args.dump_matrix)
-        # one matrix alive at a time: release it before the next method builds its own
-        del dm
-        results[method] = (series, estimate)
-        csv_path = args.csv or f"{dataset}.{method}.csv"
-        with _writing(csv_path):
-            write_series_csv(series, csv_path)
-        logger.info("wrote %s", csv_path)
+    results, written = {}, []
+    try:
+        for dm, series, estimate in pipeline(
+            graph, methods, args.trials, args.seed, args.max_points, fit_range, threads, args.min_lb
+        ):
+            method = estimate.method
+            if args.dump_matrix and method == methods[0]:
+                _write(args.dump_matrix, lambda path: _dump_matrix_csv(dm, path), written)
+            # one matrix alive at a time: release it before the next method builds its own
+            del dm
+            results[method] = (series, estimate)
+            csv_path = args.csv or f"{dataset}.{method}.csv"
+            _write(csv_path, lambda path: write_series_csv(series, path), written)
 
-    wall = time.perf_counter() - started
-    first_series = results[methods[0]][0]
-    summary = {
-        "dataset": dataset,
-        "nodes": first_series.node_count,
-        "edges": first_series.edge_count,
-        "methods": {m: asdict(est) for m, (_, est) in results.items()},
-        "wall_seconds": wall,
-        "version": __version__,
-        "config": _config_dict(args, dataset, threads),
-    }
-    json_path = args.json or f"{dataset}.{'-'.join(methods)}.json"
-    with _writing(json_path):
-        Path(json_path).write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
-    logger.info("wrote %s", json_path)
+        first_series = results[methods[0]][0]
+        summary = {
+            "dataset": dataset,
+            "nodes": first_series.node_count,
+            "edges": first_series.edge_count,
+            "methods": {m: asdict(est) for m, (_, est) in results.items()},
+            "wall_seconds": time.perf_counter() - started,
+            "version": __version__,
+            "config": {
+                "dataset": dataset,
+                "input": args.input,
+                "gen": args.gen,
+                "trials": args.trials,
+                "seed": args.seed,
+                "max_points": args.max_points,
+                "fit_range": list(args.fit_range) if args.fit_range else None,
+                "min_lb": args.min_lb,
+                "threads": threads,
+            },
+        }
+        text = json.dumps(summary, indent=2) + "\n"
+        json_path = args.json or f"{dataset}.{'-'.join(methods)}.json"
+        _write(json_path, lambda path: Path(path).write_text(text, encoding="utf-8"), written)
+    except BaseException:  # KeyboardInterrupt too: a failed run leaves none of its outputs
+        for path in written:
+            Path(path).unlink(missing_ok=True)
+        raise
 
     if len(methods) == 1:
         est = results[methods[0]][1]
@@ -256,9 +256,8 @@ def _cmd_gen(args) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     out = args.output or f"sierpinski_level{args.level}.txt"
-    with _writing(out):
-        save_edge_list(module.graph, out)
     g = module.graph
+    _write(out, lambda path: save_edge_list(g, path), [])
     print(f"wrote {out}: {g.node_count} nodes, {g.edge_count} edges")
     return EXIT_OK
 

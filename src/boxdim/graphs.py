@@ -70,10 +70,20 @@ class Graph:
         edges: Iterable[tuple[int, int]],
         node_labels: Sequence[str] | None = None,
     ) -> "Graph":
-        """Build a validated graph from node-id pairs; the first bad pair is reported."""
+        """Build a validated graph from node-id pairs; the first bad pair is reported.
+
+        ``edges`` is an (m, 2) integer array, taken as it is, or an iterable of
+        pairs. Each label must be one non-empty token that does not start with
+        ``#``, so that ``save_edge_list`` writes a file that loads back.
+        """
         if node_count < 0:
             raise ValueError("node_count must be non-negative")
-        u, v = np.array(list(edges), dtype=np.int64).reshape(-1, 2).T
+        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        if pairs.shape == (0,):
+            pairs = pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError(f"edges must be (u, v) pairs, got an array of shape {pairs.shape}")
+        u, v = pairs.T
         lo, hi = np.minimum(u, v), np.maximum(u, v)
         outside = (lo < 0) | (hi >= node_count)
         repeat = _repeats(np.where(outside, -1, lo * node_count + hi))
@@ -89,6 +99,11 @@ class Graph:
             node_labels = tuple(str(s) for s in node_labels)
             if len(node_labels) != node_count:
                 raise ValueError("node_labels length must equal node_count")
+            for label in node_labels:
+                if label.split() != [label] or label.startswith("#"):
+                    raise ValueError(
+                        f"node label {label!r} is empty, holds whitespace or starts with '#'"
+                    )
         rows, cols = np.concatenate((lo, hi)), np.concatenate((hi, lo))
         order = np.lexsort((cols, rows))
         indptr = np.zeros(node_count + 1, dtype=np.int64)

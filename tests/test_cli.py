@@ -311,6 +311,34 @@ class TestDim:
         assert code == 2
         assert f"error: cannot write {tmp_path}: " in stderr
 
+    def test_json_naming_a_directory_removes_the_csv(self, karate_file, tmp_path, capsys):
+        # the CSV is written before the JSON write fails, and a failed run keeps none of its outputs
+        (tmp_path / "out").mkdir()
+        args = ["dim", "--input", str(karate_file), "--method", "hop", "--trials", "5",
+                "--csv", str(tmp_path / "s.csv"), "--json", str(tmp_path / "out")]
+        code, _, stderr = run_cli(args, capsys)
+        assert code == 2
+        assert f"error: cannot write {tmp_path / 'out'}: " in stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["karate.txt", "out"]
+
+    def test_refused_write_keeps_the_existing_file(self, karate_file, tmp_path, capsys, monkeypatch):
+        # the dump was written by this run, so it goes; the CSV's own write was
+        # refused, so the file already at that path is left as it was
+        def refuse(series, path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(cli, "write_series_csv", refuse)
+        csv = tmp_path / "s.csv"
+        csv.write_text("kept\n")
+        args = ["dim", "--input", str(karate_file), "--method", "hop", "--trials", "5",
+                "--csv", str(csv), "--json", str(tmp_path / "s.json"),
+                "--dump-matrix", str(tmp_path / "m.csv")]
+        code, _, stderr = run_cli(args, capsys)
+        assert code == 2
+        assert f"error: cannot write {csv}: " in stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["karate.txt", "s.csv"]
+        assert csv.read_text() == "kept\n"
+
     def test_byte_identical_csv_across_runs_and_threads(self, karate_file, tmp_path, capsys):
         blobs = []
         for tag, threads in (("a", "1"), ("b", "8"), ("c", "1")):
@@ -509,6 +537,38 @@ class TestCompare:
             code, _, _ = run_cli(args, capsys)
             assert code == 0
             assert drawn == list(range(40)), block
+
+    def test_degenerate_second_method_leaves_only_the_input(self, tmp_path, capsys, monkeypatch):
+        # hop diameter 2, so the hop sweep has two sizes; by then the
+        # repulsion CSV and the dump were written, and both are removed
+        monkeypatch.chdir(tmp_path)
+        Path("star.txt").write_text("0 1\n0 2\n0 3\n0 4\n0 5\n1 2\n3 4\n")
+        args = ["compare", "--input", "star.txt", "--trials", "5", "--dump-matrix", "m.csv"]
+        code, _, stderr = run_cli(args, capsys)
+        assert code == 3
+        assert "degenerate scaling range: only 2 box size(s)" in stderr
+        assert [p.name for p in tmp_path.iterdir()] == ["star.txt"]
+
+    def test_interrupt_on_second_method_removes_first_methods_files(
+        self, karate_file, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        seen = []
+        counts = dimension.covering_counts
+
+        def interrupted(*args, **kwargs):
+            seen.append(sorted(p.name for p in tmp_path.iterdir()))
+            if len(seen) == 2:
+                raise KeyboardInterrupt
+            return counts(*args, **kwargs)
+
+        monkeypatch.setattr(dimension, "covering_counts", interrupted)
+        args = ["compare", "--input", str(karate_file), "--trials", "5", "--threads", "1",
+                "--dump-matrix", "m.csv"]
+        with pytest.raises(KeyboardInterrupt):
+            main(args)
+        assert seen[1] == ["karate.repulsion.csv", "karate.txt", "m.csv"]
+        assert [p.name for p in tmp_path.iterdir()] == ["karate.txt"]
 
     def test_missing_input_exit_2(self, capsys):
         code, _, stderr = run_cli(["compare", "--input", "/no/such/file.txt"], capsys)

@@ -113,12 +113,15 @@ def oracle_run(n, edges, method, trials, seed, max_points):
 
 
 def assert_outputs_match(code, stderr, expected, csv_paths, json_path):
-    """The CSVs of ``csv_paths``' methods, in the order they run, and the
-    JSON estimates equal the oracle's; the first degenerate sweep exits 3."""
+    """The CSVs of ``csv_paths``' methods and the JSON estimates equal the
+    oracle's; a degenerate sweep of any method exits 3 and leaves no CSV and
+    no JSON of any method."""
+    if any(expected[method] is None for method in csv_paths):
+        assert code == 3 and "degenerate scaling range" in stderr, (code, stderr)
+        left = [path for path in (*csv_paths.values(), json_path) if Path(path).exists()]
+        assert not left, left
+        return
     for method, path in csv_paths.items():
-        if expected[method] is None:
-            assert code == 3 and "degenerate scaling range" in stderr, (code, stderr)
-            return
         assert Path(path).read_bytes() == expected[method][0], method
     assert code == 0, stderr
     got = json.loads(Path(json_path).read_text(encoding="utf-8"))["methods"]

@@ -1,5 +1,6 @@
 import io
 import logging
+import re
 from itertools import accumulate
 
 import numpy as np
@@ -177,6 +178,39 @@ class TestGraphConstruction:
         g = bd.Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         assert g.indptr.tolist() == [0, 1, 3, 5, 6]
         assert g.indices.tolist() == [1, 0, 2, 1, 3, 2]
+
+    @pytest.mark.parametrize("edges", [[(0, 1, 2), (3, 4, 5)], [0, 1, 2, 3], [[], []]])
+    def test_rejects_rows_that_are_not_pairs(self, edges):
+        # [(0, 1, 2), (3, 4, 5)] is not re-paired into (0,1), (2,3), (4,5)
+        with pytest.raises(ValueError, match=r"edges must be \(u, v\) pairs"):
+            bd.Graph.from_edges(6, edges)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint16])
+    def test_integer_array_equals_list_of_pairs(self, dtype):
+        pairs = [(2, 3), (0, 1), (1, 2)]
+        g = bd.Graph.from_edges(4, np.array(pairs, dtype=dtype))
+        want = bd.Graph.from_edges(4, pairs)
+        assert (g.indptr.tolist(), g.indices.tolist()) == (want.indptr.tolist(), want.indices.tolist())
+        assert g.indices.dtype == np.int64
+
+    @pytest.mark.parametrize("edges", [[], iter(()), np.empty((0, 2), dtype=np.int64)])
+    def test_no_edges(self, edges):
+        g = bd.Graph.from_edges(3, edges)
+        assert g.edge_count == 0 and g.edges.shape == (0, 2)
+
+    @pytest.mark.parametrize("label", ["#a", "", "a b", "a\tb", " a", "a\n"])
+    def test_rejects_label_save_edge_list_cannot_write_back(self, label):
+        # '#a' first on a line would save as a comment; the others split
+        with pytest.raises(ValueError, match=re.escape(f"node label {label!r}")):
+            bd.Graph.from_edges(3, [(0, 1), (1, 2)], [label, "b", "c"])
+
+    def test_labels_round_trip_through_edge_list(self):
+        g = bd.Graph.from_edges(3, [(0, 1), (1, 2)], ["a#", "b", "ç"])
+        buf = io.StringIO()
+        bd.save_edge_list(g, buf)
+        back = bd.load_edge_list(buf.getvalue())
+        assert back.node_labels == g.node_labels
+        assert back.edges.tolist() == g.edges.tolist()
 
 
 class TestDegrees:
