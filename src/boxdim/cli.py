@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 usage/input error (including an unreadable input or
 an unwritable output file), 3 analysis error (including a worker process
-that died). A run that fails, or is interrupted, removes the outputs it
-already wrote.
+that died), 130 interrupted (Ctrl-C). A run that fails, or is interrupted,
+removes the outputs it already wrote.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .dimension import DEFAULT_MAX_POINTS, pipeline
-from .generators import MAX_SIERPINSKI_LEVEL, generate_sierpinski
+from .generators import generate_sierpinski
 from .graphs import EdgeListError, Graph, read_edge_list, save_edge_list
 from .metrics import HOP, REPULSION, DistanceMatrix
 from .pool import usable_workers
@@ -29,6 +29,7 @@ from .pool import usable_workers
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_ANALYSIS = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 logger = logging.getLogger(__name__)
 
@@ -189,10 +190,10 @@ def _run_analysis(args, methods: list[str]) -> int:
     for path in (args.csv, args.json, args.dump_matrix):  # refused before the analysis runs
         if path is not None and not Path(path).parent.is_dir():
             raise InputError(f"cannot write {path}: no directory {Path(path).parent}")
+    started = time.perf_counter()  # wall_seconds includes reading the input
     dataset, graph = _load_input(args)
     threads = usable_workers(8 if args.threads is None else args.threads)
     fit_range = tuple(args.fit_range) if args.fit_range else None
-    started = time.perf_counter()
 
     results, written = {}, []
     try:
@@ -291,6 +292,9 @@ def main(argv=None) -> int:
     except BrokenExecutor as exc:  # BrokenProcessPool: an all-pairs or trial worker died
         print(f"analysis error: a worker process died: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
+    except KeyboardInterrupt:  # the run has already removed what it wrote
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -153,18 +153,24 @@ class _SizePlan:
     step: np.ndarray | _Reach | _SideLists
 
 
-def _plan(dm: DistanceMatrix, sizes: Sequence[int], trials: int = 0) -> list[_SizePlan]:
+def _box_sizes(sizes) -> list[int]:
+    """The one check of box sizes: distinct positive integers (3.0 is 3),
+    returned as Python ints, else ValueError naming them."""
+    sizes = list(sizes)
+    # nan fails both integer tests
+    if not all(b > 0 and b % 1 == 0 for b in sizes) or len(set(sizes)) < len(sizes):
+        raise ValueError(f"box sizes must be distinct positive integers, got {sizes}")
+    return [int(b) for b in sizes]  # exact; numpy compares a Python int in the matrix's type
+
+
+def _plan(dm: DistanceMatrix, sizes: Sequence[int], lockstep: bool = False) -> list[_SizePlan]:
     """For each box size, the nodes its pass walks and what the pass reads:
-    far-set words for the lockstep ``trials`` of a graph of at most
-    ``_WORD_NODES`` nodes, else reach rows where the near lists hold more
-    than ``_SHORT_LIST`` entries per walked node, else the near lists.
-    The one check of a box size: a positive integer (3.0 is 3), else ValueError."""
-    if not all(b > 0 and b % 1 == 0 for b in sizes):  # nan fails both
-        raise ValueError(f"box sizes must be positive integers, got {list(sizes)}")
-    sizes = [int(b) for b in sizes]  # exact; numpy compares a Python int in the matrix's type
+    far-set words when the trials run in ``lockstep`` (a graph of at most
+    ``_WORD_NODES`` nodes), else reach rows where the near lists hold more
+    than ``_SHORT_LIST`` entries per walked node, else the near lists."""
+    sizes = _box_sizes(sizes)
     dist, n = dm.dist, dm.n
     blocks = row_blocks(n)
-    lockstep = trials > 0 and n <= _WORD_NODES
     # cuts[i, u] counts the nodes v with d(u, v) < sizes[i], u itself included
     cuts = np.empty((len(sizes), n), dtype=np.int64)
     zeros = 0
@@ -185,7 +191,7 @@ def _plan(dm: DistanceMatrix, sizes: Sequence[int], trials: int = 0) -> list[_Si
     for i, (b, cut, walk, pairs) in enumerate(zip(sizes, cuts, walks, entries)):
         alone = int(np.count_nonzero(cut == 1))
         if lockstep:
-            step, what = _far_words(dist, b), f"bitset, {trials} trials in lockstep"
+            step, what = _far_words(dist, b), "bitset lockstep"
         elif i in near:
             step, what = near[i], f"near side, {pairs} list entries"
         else:
@@ -305,19 +311,21 @@ def covering_counts(
     walks a node. Otherwise each trial walks the plan, on ``workers``
     forked processes, at most one per trial and per usable CPU, that share
     the plan built here; a worker that dies raises
-    ``concurrent.futures.process.BrokenProcessPool``. Box sizes and
-    ``trials`` must be positive integers and ``master_seed`` non-negative,
-    else ``ValueError``. The matrix returned is read-only.
+    ``concurrent.futures.process.BrokenProcessPool``. Box sizes must be
+    distinct positive integers, ``trials`` a positive integer and
+    ``master_seed`` non-negative, else ``ValueError``. The matrix returned
+    is read-only.
     """
     if not (isinstance(trials, (int, np.integer)) and trials >= 1):
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
     if not (isinstance(master_seed, (int, np.integer)) and master_seed >= 0):
         raise ValueError(f"master_seed must be a non-negative integer, got {master_seed!r}")
-    plan = _plan(dm, box_sizes, trials)
     n = dm.n
+    lockstep = n <= _WORD_NODES
+    plan = _plan(dm, box_sizes, lockstep)
     # the boxes of the walked nodes; the isolated nodes' boxes are added last
     counts = np.zeros((len(plan), trials), dtype=np.int64)
-    if n <= _WORD_NODES:
+    if lockstep:
         for first in range(0, trials, _TRIAL_BLOCK):
             stop = min(first + _TRIAL_BLOCK, trials)
             orders = _run_orders(n, master_seed, trials)[first:stop]
@@ -344,8 +352,7 @@ def brute_force_min_boxes(dm: DistanceMatrix, box_size) -> int:
     n = dm.n
     if n > BRUTE_FORCE_MAX_NODES:
         raise ValueError(f"brute force limited to {BRUTE_FORCE_MAX_NODES} nodes, got {n}")
-    if not (box_size > 0 and box_size % 1 == 0):  # nan fails both
-        raise ValueError(f"box sizes must be positive integers, got {box_size!r}")
+    [box_size] = _box_sizes([box_size])
     if n == 0:
         raise ValueError("empty distance matrix")
 

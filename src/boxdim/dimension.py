@@ -11,7 +11,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .covering import covering_counts
+from .covering import _box_sizes, covering_counts
 from .graphs import Graph, largest_component
 from .metrics import REPULSION, DistanceMatrix, all_pairs, distinct_distances, sorted_distinct
 
@@ -37,6 +37,7 @@ class BoxSizeSchedule:
 class ScalingSeries:
     """The greedy box counts of one analyzed graph, every trial at every box size.
 
+    ``box_sizes`` are distinct positive integers (3.0 is 3), held as ints.
     ``counts[i, t]`` is trial ``t``'s box count at ``box_sizes[i]``: one row
     per size, at least one trial, every count an integer of at least 1, else
     ``ValueError``. It is held as read-only int64, a private copy unless it
@@ -50,7 +51,7 @@ class ScalingSeries:
     edge_count: int
 
     def __post_init__(self):
-        sizes, counts = tuple(int(b) for b in self.box_sizes), np.asarray(self.counts)
+        sizes, counts = tuple(_box_sizes(self.box_sizes)), np.asarray(self.counts)
         if counts.ndim != 2 or counts.shape[0] != len(sizes) or counts.shape[1] < 1:
             raise ValueError(f"counts of shape {counts.shape}, not {len(sizes)} sizes x trials")
         if not np.issubdtype(counts.dtype, np.integer):
@@ -151,8 +152,6 @@ def estimate_dimension(
     xc = np.log(np.array(series.box_sizes, dtype=np.float64)[kept])
     xc -= xc.mean()
     sxx = float(xc @ xc)
-    if sxx == 0.0:
-        raise ValueError("all box sizes identical; cannot fit")
     # column 0 is the mean series, column t + 1 trial t's counts
     counts = series.counts[kept]
     y = np.log(np.column_stack([counts.mean(axis=1), counts]))

@@ -17,7 +17,6 @@ class EdgeListError(ValueError):
         if line_number is not None:
             message = f"line {line_number}: {message}"
         super().__init__(message)
-        self.line_number = line_number
 
 
 def _repeats(key: np.ndarray) -> np.ndarray:
@@ -74,7 +73,8 @@ class Graph:
 
         ``edges`` is an (m, 2) integer array, taken as it is, or an iterable of
         pairs. Each label must be one non-empty token that does not start with
-        ``#``, so that ``save_edge_list`` writes a file that loads back.
+        ``#``, and no two nodes may share one, so that ``save_edge_list``
+        writes a file that loads back as this graph.
         """
         if node_count < 0:
             raise ValueError("node_count must be non-negative")
@@ -99,11 +99,15 @@ class Graph:
             node_labels = tuple(str(s) for s in node_labels)
             if len(node_labels) != node_count:
                 raise ValueError("node_labels length must equal node_count")
+            seen = set()
             for label in node_labels:
                 if label.split() != [label] or label.startswith("#"):
                     raise ValueError(
                         f"node label {label!r} is empty, holds whitespace or starts with '#'"
                     )
+                if label in seen:
+                    raise ValueError(f"node label {label!r} is repeated")
+                seen.add(label)
         rows, cols = np.concatenate((lo, hi)), np.concatenate((hi, lo))
         order = np.lexsort((cols, rows))
         indptr = np.zeros(node_count + 1, dtype=np.int64)

@@ -4,6 +4,7 @@ import logging
 import os
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 
@@ -279,6 +280,23 @@ class TestDim:
         assert option in stderr
         # refused before the input is read
         assert loads == []
+
+    def test_wall_seconds_include_the_load(self, karate_file, tmp_path, capsys, monkeypatch):
+        load = cli._load_input
+
+        def slow_load(args):
+            time.sleep(0.3)
+            return load(args)
+
+        monkeypatch.setattr(cli, "_load_input", slow_load)
+        js = tmp_path / "k.json"
+        code, _, _ = run_cli(
+            ["dim", "--input", str(karate_file), "--trials", "5", "--csv", str(tmp_path / "k.csv"),
+             "--json", str(js)],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(js.read_text())["wall_seconds"] >= 0.3
 
     def test_generated_input(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -565,9 +583,23 @@ class TestCompare:
         monkeypatch.setattr(dimension, "covering_counts", interrupted)
         args = ["compare", "--input", str(karate_file), "--trials", "5", "--threads", "1",
                 "--dump-matrix", "m.csv"]
-        with pytest.raises(KeyboardInterrupt):
-            main(args)
+        code, _, stderr = run_cli(args, capsys)
+        assert code == 130 and stderr == "interrupted\n"
         assert seen[1] == ["karate.repulsion.csv", "karate.txt", "m.csv"]
+        assert [p.name for p in tmp_path.iterdir()] == ["karate.txt"]
+
+    def test_interrupt_exits_130_with_one_line(self, karate_file, tmp_path, capsys, monkeypatch):
+        # Ctrl-C while the CSV is written, after the matrix dump: exit 130,
+        # one line on stderr, no traceback and no outputs left
+        monkeypatch.chdir(tmp_path)
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "write_series_csv", interrupted)
+        args = ["dim", "--input", str(karate_file), "--trials", "5", "--dump-matrix", "m.csv"]
+        code, stdout, stderr = run_cli(args, capsys)
+        assert (code, stdout, stderr) == (130, "", "interrupted\n")
         assert [p.name for p in tmp_path.iterdir()] == ["karate.txt"]
 
     def test_missing_input_exit_2(self, capsys):

@@ -113,6 +113,10 @@ class TestGreedyBoxCover:
             with pytest.raises(ValueError, match="positive integers"):
                 bd.covering_counts(example6_repulsion, [4, box_size], trials=2, master_seed=0)
 
+    def test_repeated_box_size_refused(self, example6_repulsion):
+        with pytest.raises(ValueError, match=re.escape("distinct positive integers, got [2, 2]")):
+            bd.covering_counts(example6_repulsion, [2, 2], trials=2, master_seed=0)
+
     def test_integral_float_box_size_accepted(self, example6_repulsion):
         dm = example6_repulsion
         for box_size in (3, 11):
@@ -148,7 +152,7 @@ class TestBruteForce:
         assert bd.brute_force_min_boxes(example6_repulsion, 2) == 6
 
     def test_box_size_must_be_a_positive_integer(self, example6_repulsion):
-        # the oracle refuses what greedy_box_cover refuses, with its own check
+        # the oracle refuses what greedy_box_cover refuses, by the same check
         dm = example6_repulsion
         for box_size in (0, -1, 2.5, float("nan")):
             with pytest.raises(ValueError, match="positive integers"):
@@ -384,7 +388,7 @@ class TestGreedyCorePaths:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(np, "flatnonzero", no_sort)
             mp.setattr(np, "lexsort", no_sort)
-            plan = covering._plan(dm, sizes, trials=4)
+            plan = covering._plan(dm, sizes, lockstep=False)
         assert not any(entry.walk.any() for entry in plan)
         steps = [entry.step for entry in plan]
         assert [type(step) for step in steps] == [covering._SideLists, covering._Reach, covering._Reach]
@@ -459,7 +463,7 @@ class TestGreedyCorePaths:
         # neither
         dm = bd.all_pairs(bd.generate_sierpinski(3).graph, bd.HOP)
         sizes = list(range(1, dm.diameter + 2))
-        plan = covering._plan(dm, sizes, trials=4)
+        plan = covering._plan(dm, sizes, lockstep=False)
         kinds = [type(e.step) is covering._Reach for e in plan]
         assert kinds == [False] * 3 + [True] * 5
         assert not plan[0].walk.any() and not plan[-1].walk.any()
@@ -506,7 +510,7 @@ class TestGreedyCorePaths:
             bd.covering_counts(sier, [2, 4, 7], trials=5, master_seed=0)
         lines = [r.getMessage() for r in caplog.records if r.name == "boxdim.covering"]
         assert len(lines) == 7
-        assert all("bitset, 5 trials" in line for line in lines[:4])
+        assert all("bitset lockstep" in line for line in lines[:4])
         assert "0 nodes walked, 34 isolated" in lines[0]
         assert "0 nodes walked, 0 isolated" in lines[3]
         assert lines[4:] == [
@@ -531,7 +535,7 @@ class TestGreedyCorePaths:
             (star, 2, np.arange(n) > 0, 0),
             (rep, low + 1, paired, n - int(paired.sum())),
         ]:
-            [entry] = covering._plan(dm, [b], trials=5)
+            [entry] = covering._plan(dm, [b], lockstep=n <= covering._WORD_NODES)
             assert entry.walk.tolist() == walk.tolist() and entry.alone == alone
             counts = bd.covering_counts(dm, [b], trials=5, master_seed=n)
             for t in range(5):
@@ -600,7 +604,7 @@ def test_each_step_matches_dense_rule(n, extra, graph_seed, metric, master_seed,
             mp.setattr(covering, "_WORD_NODES", limit)
             mp.setattr(covering, "_TRIAL_BLOCK", 2)
             mp.setattr(covering, "_SHORT_LIST", short_list)
-            plan = covering._plan(dm, sizes, trials)
+            plan = covering._plan(dm, sizes, lockstep=n <= limit)
             kinds = {type(entry.step) for entry in plan if entry.walk.any()}
             if n <= limit:
                 expected = {np.ndarray}

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -186,7 +187,7 @@ class TestEstimateDimension:
             bd.ScalingSeries((1, 2, 4), [[5, 5], [4, 4], [3]], bd.HOP, node_count=0, edge_count=0)
 
     def test_identical_box_sizes_refused(self):
-        with pytest.raises(ValueError, match="all box sizes identical"):
+        with pytest.raises(ValueError, match="distinct positive integers"):
             bd.estimate_dimension(synthetic_series([2, 2, 2], [5, 4, 3]))
 
 
@@ -298,3 +299,19 @@ class TestScalingSeries:
     def test_bad_counts_refused(self, counts, message):
         with pytest.raises(ValueError, match=message):
             bd.ScalingSeries((1, 2, 4), counts, bd.HOP, node_count=0, edge_count=0)
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [(1.0, 2.5, 4.9), (0, 2, 4), (-2, 1, 2), (math.nan, 1, 2), (1, 1, 2)],
+        ids=["fractional", "zero", "negative", "nan", "repeated"],
+    )
+    def test_bad_box_sizes_refused(self, sizes):
+        # each was once held, truncated to an int or fitted
+        counts = np.array([[9], [5], [3]])
+        with pytest.raises(ValueError, match=re.escape(f"distinct positive integers, got {list(sizes)}")):
+            bd.ScalingSeries(sizes, counts, bd.HOP, node_count=0, edge_count=0)
+
+    def test_integral_float_box_sizes_held_as_ints(self):
+        series = bd.ScalingSeries((1.0, np.float64(2.0), 4), [[9], [5], [3]], bd.HOP, 0, 0)
+        assert series.box_sizes == (1, 2, 4)
+        assert all(type(b) is int for b in series.box_sizes)

@@ -204,6 +204,14 @@ class TestGraphConstruction:
         with pytest.raises(ValueError, match=re.escape(f"node label {label!r}")):
             bd.Graph.from_edges(3, [(0, 1), (1, 2)], [label, "b", "c"])
 
+    @pytest.mark.parametrize("labels, repeated", [(["a", "a", "b"], "a"), (["b", "a", "a", "b"], "a")])
+    def test_rejects_repeated_label(self, labels, repeated):
+        # ['a', 'a', 'b'] on the path 0-1-2 would save as "a a\na b\n", which
+        # loads back as 2 nodes and 1 edge; the first repeat is named
+        edges = [(i, i + 1) for i in range(len(labels) - 1)]
+        with pytest.raises(ValueError, match=re.escape(f"node label {repeated!r} is repeated")):
+            bd.Graph.from_edges(len(labels), edges, labels)
+
     def test_labels_round_trip_through_edge_list(self):
         g = bd.Graph.from_edges(3, [(0, 1), (1, 2)], ["a#", "b", "ç"])
         buf = io.StringIO()
