@@ -33,6 +33,7 @@ from .graphs import (
 from .metrics import (
     HOP,
     REPULSION,
+    ArgumentError,
     DistanceMatrix,
     WeightedGraph,
     all_pairs,
@@ -43,6 +44,7 @@ from .metrics import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "ArgumentError",
     "BoxCovering",
     "BoxSizeSchedule",
     "DegenerateScalingError",

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import sys
 import time
 from concurrent.futures import BrokenExecutor
@@ -23,7 +22,7 @@ from . import __version__
 from .dimension import DEFAULT_MAX_POINTS, pipeline
 from .generators import generate_sierpinski
 from .graphs import EdgeListError, Graph, read_edge_list, save_edge_list
-from .metrics import HOP, REPULSION, DistanceMatrix
+from .metrics import HOP, REPULSION, ArgumentError, DistanceMatrix, check_run
 from .pool import usable_workers
 
 EXIT_OK = 0
@@ -32,6 +31,10 @@ EXIT_ANALYSIS = 3
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 logger = logging.getLogger(__name__)
+
+# the flag of each run argument that check_run names
+_FLAGS = {"trials": "--trials", "seed": "--seed", "max_points": "--max-points",
+          "fit_range": "--fit-range", "workers": "--threads"}
 
 
 class InputError(Exception):
@@ -70,7 +73,7 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--threads",
         type=int,
-        default=None,
+        default=8,
         help="worker processes for all-pairs and the trials, at most the usable CPUs "
         "(default: at most 8)",
     )
@@ -116,33 +119,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_input(args) -> tuple[str, Graph]:
-    """Resolve --input/--gen to a (dataset name, graph) pair."""
+def _source(args) -> tuple[str, Path | int]:
+    """The dataset name and the input file or generator level of --input/--gen; reads nothing."""
     if args.input is not None:
-        path = Path(args.input)
-        if not path.is_file():
-            raise InputError(f"input file not found: {path}")
-        try:
-            graph = read_edge_list(path)
-        except EdgeListError as exc:
-            raise InputError(f"{path}: {exc}") from exc
-        except (OSError, UnicodeDecodeError) as exc:
-            raise InputError(f"cannot read {path}: {exc}") from exc
-        return path.stem, graph
-
-    spec = args.gen
-    kind, _, arg = spec.partition(":")
+        return Path(args.input).stem, Path(args.input)
+    kind, _, arg = args.gen.partition(":")
     if kind != "sierpinski":
         raise InputError(f"unknown generator {kind!r} (expected sierpinski:LEVEL)")
     try:
         level = int(arg)
     except ValueError:
-        raise InputError(f"bad generator spec {spec!r} (expected sierpinski:LEVEL)") from None
+        raise InputError(f"bad generator spec {args.gen!r} (expected sierpinski:LEVEL)") from None
+    return f"sierpinski{level}", level
+
+
+def _load_input(args) -> tuple[str, Graph]:
+    """Resolve --input/--gen to a (dataset name, graph) pair."""
+    dataset, source = _source(args)
+    if isinstance(source, int):
+        try:
+            return dataset, generate_sierpinski(source).graph
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
+    if not source.is_file():
+        raise InputError(f"input file not found: {source}")
     try:
-        module = generate_sierpinski(level)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    return f"sierpinski{level}", module.graph
+        return dataset, read_edge_list(source)
+    except EdgeListError as exc:
+        raise InputError(f"{source}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {source}: {exc}") from exc
 
 
 def write_series_csv(series, path) -> None:
@@ -173,32 +179,30 @@ def _dump_matrix_csv(dm: DistanceMatrix, path) -> None:
 
 
 def _run_analysis(args, methods: list[str]) -> int:
-    if args.trials < 1:
-        raise InputError("--trials must be >= 1")
-    if args.seed < 0:
-        raise InputError("--seed must be non-negative")
-    if args.threads is not None and args.threads < 1:
-        raise InputError("--threads must be >= 1")
-    if args.max_points < 3:
-        raise InputError("--max-points must be >= 3")
-    if args.fit_range is not None:
-        lo, hi = args.fit_range
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise InputError("--fit-range bounds must be finite")
-        if lo > hi:
-            raise InputError(f"--fit-range LO ({lo:g}) must not exceed HI ({hi:g})")
-    for path in (args.csv, args.json, args.dump_matrix):  # refused before the analysis runs
-        if path is not None and not Path(path).parent.is_dir():
+    # every argument and output path is refused before the input is read
+    try:
+        check_run(args.trials, args.seed, args.max_points, args.fit_range, args.threads)
+    except ArgumentError as exc:
+        raise InputError(f"{_FLAGS[exc.name]} {exc.rule}") from None
+    dataset, _ = _source(args)
+    csv_paths = {method: args.csv or f"{dataset}.{method}.csv" for method in methods}
+    json_path = args.json or f"{dataset}.{'-'.join(methods)}.json"
+    # an output written over the input or another output would destroy it
+    files = {Path(args.input).resolve()} if args.input else set()
+    for path in filter(None, (args.dump_matrix, *csv_paths.values(), json_path)):
+        if not Path(path).parent.is_dir():
             raise InputError(f"cannot write {path}: no directory {Path(path).parent}")
+        if Path(path).resolve() in files:
+            raise InputError(f"cannot write {path}: it is the input or another output of this run")
+        files.add(Path(path).resolve())
     started = time.perf_counter()  # wall_seconds includes reading the input
-    dataset, graph = _load_input(args)
-    threads = usable_workers(8 if args.threads is None else args.threads)
-    fit_range = tuple(args.fit_range) if args.fit_range else None
+    _, graph = _load_input(args)
+    threads = usable_workers(args.threads)
 
     results, written = {}, []
     try:
         for dm, series, estimate in pipeline(
-            graph, methods, args.trials, args.seed, args.max_points, fit_range, threads, args.min_lb
+            graph, methods, args.trials, args.seed, args.max_points, args.fit_range, threads, args.min_lb
         ):
             method = estimate.method
             if args.dump_matrix and method == methods[0]:
@@ -206,8 +210,7 @@ def _run_analysis(args, methods: list[str]) -> int:
             # one matrix alive at a time: release it before the next method builds its own
             del dm
             results[method] = (series, estimate)
-            csv_path = args.csv or f"{dataset}.{method}.csv"
-            _write(csv_path, lambda path: write_series_csv(series, path), written)
+            _write(csv_paths[method], lambda path: write_series_csv(series, path), written)
 
         first_series = results[methods[0]][0]
         summary = {
@@ -224,13 +227,12 @@ def _run_analysis(args, methods: list[str]) -> int:
                 "trials": args.trials,
                 "seed": args.seed,
                 "max_points": args.max_points,
-                "fit_range": list(args.fit_range) if args.fit_range else None,
+                "fit_range": args.fit_range,
                 "min_lb": args.min_lb,
                 "threads": threads,
             },
         }
         text = json.dumps(summary, indent=2) + "\n"
-        json_path = args.json or f"{dataset}.{'-'.join(methods)}.json"
         _write(json_path, lambda path: Path(path).write_text(text, encoding="utf-8"), written)
     except BaseException:  # KeyboardInterrupt too: a failed run leaves none of its outputs
         for path in written:

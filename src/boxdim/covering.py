@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .metrics import DistanceMatrix, row_blocks
+from .metrics import DistanceMatrix, check_run, row_blocks
 from .pool import fork_map
 
 logger = logging.getLogger(__name__)
@@ -312,14 +312,11 @@ def covering_counts(
     forked processes, at most one per trial and per usable CPU, that share
     the plan built here; a worker that dies raises
     ``concurrent.futures.process.BrokenProcessPool``. Box sizes must be
-    distinct positive integers, ``trials`` a positive integer and
-    ``master_seed`` non-negative, else ``ValueError``. The matrix returned
+    distinct positive integers, else ``ValueError``; ``check_run`` refuses
+    bad ``trials``, ``master_seed`` or ``workers`` first. The matrix returned
     is read-only.
     """
-    if not (isinstance(trials, (int, np.integer)) and trials >= 1):
-        raise ValueError(f"trials must be a positive integer, got {trials!r}")
-    if not (isinstance(master_seed, (int, np.integer)) and master_seed >= 0):
-        raise ValueError(f"master_seed must be a non-negative integer, got {master_seed!r}")
+    check_run(trials=trials, seed=master_seed, workers=workers)
     n = dm.n
     lockstep = n <= _WORD_NODES
     plan = _plan(dm, box_sizes, lockstep)

@@ -13,7 +13,8 @@ import numpy as np
 
 from .covering import _box_sizes, covering_counts
 from .graphs import Graph, largest_component
-from .metrics import REPULSION, DistanceMatrix, all_pairs, distinct_distances, sorted_distinct
+from .metrics import REPULSION, DistanceMatrix, all_pairs, check_run, distinct_distances
+from .metrics import sorted_distinct
 
 ALL_DISTINCT = "all_distinct"
 LOG_SNAPPED = "log_snapped"
@@ -108,8 +109,7 @@ def build_schedule(
     ``min_box_size`` are dropped, and a sweep of fewer than three sizes is
     refused with ``DegenerateScalingError``.
     """
-    if max_points < 3:
-        raise ValueError("max_points must be at least 3")
+    check_run(max_points=max_points)
     if dm.metric_kind == REPULSION:
         candidates = distinct_distances(dm)
     else:
@@ -148,6 +148,7 @@ def estimate_dimension(
     slope's standard error, and the population std of each trial's own slope
     (one per column) gives ``dimension_std``, 0.0 for one trial.
     """
+    check_run(fit_range=fit_range)
     kept = _fit_points(series.box_sizes, fit_range)
     xc = np.log(np.array(series.box_sizes, dtype=np.float64)[kept])
     xc -= xc.mean()
@@ -193,14 +194,16 @@ def pipeline(
 ) -> Iterator[tuple[DistanceMatrix, ScalingSeries, DimensionEstimate]]:
     """Yield ``(dm, series, estimate)`` for each method, in turn, on one component.
 
-    Stages: largest component, once -> per method, all-pairs distances
-    (``all_pairs`` weighs repulsion's degree products and refuses an unknown
-    method) -> box-size schedule -> randomized greedy coverings -> log-log
-    regression. ``build_schedule`` drops the sizes below ``min_box_size`` and
-    refuses a sweep of fewer than three sizes, and a ``fit_range`` that keeps
-    fewer than three is refused too, both before any trial runs. ``workers``
+    ``check_run`` refuses a bad argument first, as ``ArgumentError``. Stages:
+    largest component, once -> per method, all-pairs distances -> box-size
+    schedule -> randomized greedy coverings -> log-log regression.
+    ``build_schedule`` drops the sizes below ``min_box_size`` and refuses a
+    sweep of fewer than three sizes, and a ``fit_range`` that keeps fewer
+    than three is refused too, both before any trial runs. ``workers``
     forked processes relax the all-pairs columns and run the trials.
     """
+    methods = list(methods)
+    check_run(trials, seed, max_points, fit_range, workers, methods)
     comp = largest_component(g)
     for method in methods:
         dm = all_pairs(comp, method, workers)
@@ -226,7 +229,8 @@ def analyze(
     """Estimate the fractal dimension of a graph end to end under ``method``.
 
     Runs ``pipeline``'s stages, the same body as the command line's, for one
-    method. Returns the scaling series and the estimate.
+    method; a bad argument is refused before the first, as ``ArgumentError``
+    (a ``ValueError``). Returns the scaling series and the estimate.
     """
     _, series, estimate = next(pipeline(
         g, [method], trials, seed, max_points, fit_range, workers, min_box_size

@@ -37,6 +37,7 @@ Whole-matrix scans read it a block of rows at a time and copy none of it:
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass
 
@@ -323,12 +324,36 @@ def _pull_round(groups, mat, a, z) -> tuple[int, np.ndarray | None]:
     return cost, None if fell is None else np.concatenate(fell, dtype=np.int64)
 
 
+class ArgumentError(ValueError):
+    """A run argument that breaks its rule; ``name`` is the parameter's."""
+
+    def __init__(self, name: str, rule: str):
+        super().__init__(f"{name} {rule}")
+        self.name, self.rule = name, rule
+
+
+def check_run(trials=1, seed=0, max_points=3, fit_range=None, workers=1, methods=()) -> None:
+    """The one check of the run arguments, else ``ArgumentError``. Every
+    default passes, so a stage passes only its own; a method of None is the
+    input's own metric."""
+    for name, value, least in (("trials", trials, 1), ("seed", seed, 0),
+                               ("max_points", max_points, 3), ("workers", workers, 1)):
+        if not (isinstance(value, (int, np.integer)) and value >= least):
+            raise ArgumentError(name, f"must be an integer of at least {least}, got {value!r}")
+    if fit_range is not None:
+        lo, hi = fit_range
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            raise ArgumentError("fit_range", f"must be finite with lo <= hi, got {fit_range!r}")
+    for method in methods:
+        if method not in (None, HOP, REPULSION):
+            raise ArgumentError("method", f"{method!r} is an unknown metric")
+
+
 def _resolve(g: Graph | WeightedGraph, metric: str | None):
-    """Pick (graph, arc weights, metric_kind) for either input type.
+    """Pick (graph, arc weights, metric_kind) for either input type and a known metric.
 
     A ``WeightedGraph`` carries its own forces, and a ``Graph`` under
     repulsion is weighed by ``edge_repulsive_force``; hops weigh every arc 1.
-    The one place that refuses an unknown metric name.
     """
     if isinstance(g, Graph) and metric == REPULSION:
         g = edge_repulsive_force(g)
@@ -338,9 +363,7 @@ def _resolve(g: Graph | WeightedGraph, metric: str | None):
         g = g.graph
     elif not isinstance(g, Graph):
         raise TypeError(f"expected Graph or WeightedGraph, got {type(g).__name__}")
-    if metric in (None, HOP):
-        return g, np.ones_like(g.indices), HOP
-    raise ValueError(f"unknown metric {metric!r}")
+    return g, np.ones_like(g.indices), HOP
 
 
 def all_pairs(g: Graph | WeightedGraph, metric: str | None = None, workers: int = 1) -> DistanceMatrix:
@@ -354,10 +377,11 @@ def all_pairs(g: Graph | WeightedGraph, metric: str | None = None, workers: int 
     usable CPU, each relaxed on a forked process; a worker that dies raises
     ``concurrent.futures.process.BrokenProcessPool``. The matrix is the same
     for any worker count.
-    Refuses matrices above ``MAX_CELLS`` cells; analyze a subsample of larger
-    graphs, and a disconnected graph before its matrix is allocated. Logs
-    one debug line per call.
+    Refuses bad ``workers`` or metric by ``check_run``, matrices above
+    ``MAX_CELLS`` cells (analyze a subsample of larger graphs), and a
+    disconnected graph before its matrix is allocated. Logs one debug line.
     """
+    check_run(workers=workers, methods=[metric])
     graph, weights, kind = _resolve(g, metric)
     n = graph.node_count
     if n == 0:

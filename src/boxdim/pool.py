@@ -19,8 +19,8 @@ def usable_cpus() -> int:
 
 
 def usable_workers(workers: int) -> int:
-    """``workers`` clamped to between 1 and the usable CPUs."""
-    return max(1, min(int(workers), usable_cpus()))
+    """``workers``, at least 1 as ``metrics.check_run`` requires, capped at the usable CPUs."""
+    return min(int(workers), usable_cpus())
 
 
 # a fork worker's (function, state), inherited from the parent at fork

@@ -6,7 +6,6 @@ dataset (BOXDIM_FOOTBALL env var or data/football.txt) and is skipped when
 absent. One sub-claim of criterion 1 is a verified defect and is marked as a
 strict expected failure; see the notes accompanying the repository.
 """
-import json
 import math
 import os
 import time
@@ -21,7 +20,6 @@ from boxdim.cli import main
 from boxdim.pool import usable_workers
 
 from conftest import (
-    WORKED_EXAMPLE_TEXT,
     floyd_warshall,
     graph_weighted_edges,
     is_valid_covering,

@@ -567,6 +567,34 @@ class TestCompare:
         assert "degenerate scaling range: only 2 box size(s)" in stderr
         assert [p.name for p in tmp_path.iterdir()] == ["star.txt"]
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            # the dump would overwrite the input, which the failed hop sweep would then remove
+            "compare --input star.txt --trials 5 --dump-matrix star.txt",
+            # a successful run would write its CSV over its input
+            "dim --input star.txt --method hop --trials 5 --csv star.txt",
+            # a default path counts: compare's hop CSV is star.hop.csv
+            "compare --input star.txt --trials 5 --json star.hop.csv",
+            # two outputs, one file
+            "dim --input star.txt --trials 5 --dump-matrix m.csv --json ./m.csv",
+        ],
+    )
+    def test_output_on_the_input_or_another_output_exit_2(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        monkeypatch.chdir(tmp_path)
+        star = "0 1\n0 2\n0 3\n0 4\n0 5\n1 2\n3 4\n"
+        Path("star.txt").write_text(star)
+        loads = []
+        monkeypatch.setattr(cli, "_load_input", loads.append)
+        code, _, stderr = run_cli(command.split(), capsys)
+        assert code == 2
+        assert "is the input or another output of this run" in stderr
+        assert loads == []
+        assert [p.name for p in tmp_path.iterdir()] == ["star.txt"]
+        assert Path("star.txt").read_text() == star
+
     def test_interrupt_on_second_method_removes_first_methods_files(
         self, karate_file, tmp_path, capsys, monkeypatch
     ):

@@ -248,7 +248,7 @@ class TestRunTrials:
             raise AssertionError("the covering plan was built")
 
         monkeypatch.setattr(covering, "_plan", no_plan)
-        with pytest.raises(ValueError, match="master_seed must be a non-negative integer"):
+        with pytest.raises(ValueError, match="seed must be an integer of at least 0"):
             bd.covering_counts(dm, [2, 4, 8], trials=6, master_seed=master_seed, workers=2)
 
     @pytest.mark.parametrize("trials", [2.5, np.float64(3.0)])
@@ -260,8 +260,13 @@ class TestRunTrials:
             raise AssertionError("the covering plan was built")
 
         monkeypatch.setattr(covering, "_plan", no_plan)
-        with pytest.raises(ValueError, match=re.escape(f"trials must be a positive integer, got {trials!r}")):
+        with pytest.raises(ValueError, match=re.escape(f"trials must be an integer of at least 1, got {trials!r}")):
             bd.covering_counts(dm, [2, 4, 8], trials=trials, master_seed=1, workers=2)
+
+    def test_no_workers_refused_in_lockstep(self, example6_hop):
+        # 6 nodes color in lockstep in this process, so workers was never read
+        with pytest.raises(bd.ArgumentError, match="workers must be an integer of at least 1, got 0"):
+            bd.covering_counts(example6_hop, [2, 3, 4], trials=5, master_seed=1, workers=0)
 
     def test_dead_worker_raises_instead_of_hanging(self, monkeypatch):
         dm = bd.all_pairs(random_connected_graph(100, 40, seed=2), bd.HOP)

@@ -6,9 +6,8 @@ import pytest
 from scipy import stats as sps
 
 import boxdim as bd
+from boxdim import dimension
 from boxdim.dimension import DegenerateScalingError, _snap_log_targets, series_from_counts
-
-from conftest import random_connected_graph
 
 
 def collapsing_path() -> bd.DistanceMatrix:
@@ -117,7 +116,7 @@ class TestEstimateDimension:
         assert est.dimension == pytest.approx(0.0, abs=1e-12)
 
     def test_max_points_below_three_refused(self, example6_hop):
-        with pytest.raises(ValueError, match="max_points must be at least 3"):
+        with pytest.raises(ValueError, match="max_points must be an integer of at least 3"):
             bd.build_schedule(example6_hop, max_points=2)
 
     def test_too_few_points(self):
@@ -222,6 +221,34 @@ class TestAnalyze:
     def test_unknown_method(self, karate):
         with pytest.raises(ValueError, match="unknown metric"):
             bd.analyze(karate, method="euclid")
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("trials", 0), ("trials", 2.5), ("seed", -1), ("seed", 1.5),
+            ("max_points", 2), ("max_points", 3.5),
+            ("fit_range", (50, 5)), ("fit_range", (math.nan, 5)), ("fit_range", (1, math.inf)),
+            ("workers", 0), ("workers", -1), ("method", "euclid"),
+        ],
+    )
+    def test_bad_argument_refused_before_any_stage(self, karate, monkeypatch, name, value):
+        def no_stage(*args, **kwargs):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr(dimension, "largest_component", no_stage)
+        monkeypatch.setattr(dimension, "all_pairs", no_stage)
+        with pytest.raises(bd.ArgumentError) as refused:
+            bd.analyze(karate, **{name: value})
+        assert refused.value.name == name
+        assert isinstance(refused.value, ValueError)
+
+    def test_pipeline_refuses_a_bad_later_method_before_the_first(self, karate, monkeypatch):
+        def no_stage(*args, **kwargs):
+            raise AssertionError("a stage ran")
+
+        monkeypatch.setattr(dimension, "largest_component", no_stage)
+        with pytest.raises(bd.ArgumentError, match="'euclid' is an unknown metric"):
+            next(dimension.pipeline(karate, [bd.HOP, "euclid"], trials=6, workers=2))
 
     def test_min_box_size_filter(self, karate):
         series, est = bd.analyze(karate, method=bd.HOP, trials=10, seed=0, min_box_size=2)

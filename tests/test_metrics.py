@@ -285,6 +285,11 @@ class TestAllPairs:
             tracemalloc.stop()
         assert peak < n * n // 20
 
+    def test_no_workers_refused_on_a_one_slice_graph(self, karate):
+        # 34 nodes relax in one slice in this process, so workers was never read
+        with pytest.raises(bd.ArgumentError, match="workers must be an integer of at least 1, got 0"):
+            bd.all_pairs(karate, bd.HOP, workers=0)
+
     def test_cell_cap(self, karate):
         with pytest.raises(ValueError, match="subsample"):
             with pytest.MonkeyPatch.context() as mp:
