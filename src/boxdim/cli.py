@@ -3,13 +3,14 @@
 Exit codes: 0 success, 2 usage/input error (including an unreadable input or
 an unwritable output file), 3 analysis error (including a worker process
 that died), 130 interrupted (Ctrl-C). A run that fails, or is interrupted,
-removes the outputs it already wrote.
+removes the regular files it already wrote.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import logging
+import os
 import sys
 import time
 from concurrent.futures import BrokenExecutor
@@ -62,13 +63,7 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
         nargs=2,
         type=float,
         metavar=("LO", "HI"),
-        help="restrict the regression to box sizes in [LO, HI]",
-    )
-    p.add_argument(
-        "--min-lb",
-        type=int,
-        default=None,
-        help="drop schedule box sizes below this value",
+        help="restrict the regression to box sizes in [LO, HI]; the CSV keeps every swept size",
     )
     p.add_argument(
         "--threads",
@@ -133,18 +128,17 @@ def _source(args) -> tuple[str, Path | int]:
     return f"sierpinski{level}", level
 
 
-def _load_input(args) -> tuple[str, Graph]:
-    """Resolve --input/--gen to a (dataset name, graph) pair."""
-    dataset, source = _source(args)
+def _load_input(source: Path | int) -> Graph:
+    """The graph of ``_source``'s input file or generator level."""
     if isinstance(source, int):
         try:
-            return dataset, generate_sierpinski(source).graph
+            return generate_sierpinski(source).graph
         except ValueError as exc:
             raise InputError(str(exc)) from exc
     if not source.is_file():
         raise InputError(f"input file not found: {source}")
     try:
-        return dataset, read_edge_list(source)
+        return read_edge_list(source)
     except EdgeListError as exc:
         raise InputError(f"{source}: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
@@ -162,20 +156,31 @@ def write_series_csv(series, path) -> None:
 def _write(path, emit, written: list) -> None:
     """Write ``path`` with ``emit(path)``, log it and record it in ``written``.
 
-    A failure to write is an input error (exit 2); a path whose own write
-    failed is not recorded, so it is never removed.
+    A failure to write is an input error (exit 2), and the path is not
+    recorded. Only a path that is a regular file after its write is recorded,
+    so a failed run never removes a device such as /dev/null.
     """
     try:
         emit(path)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
     logger.info("wrote %s", path)
-    written.append(path)
+    if Path(path).is_file():
+        written.append(path)
 
 
 def _dump_matrix_csv(dm: DistanceMatrix, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         np.savetxt(fh, dm.dist, fmt="%d", delimiter=",")
+
+
+def _identity(path) -> tuple[int, int] | Path:
+    """A file's (device, inode) if it exists, so hard links are one file; else its resolved path."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return Path(path).resolve()
+    return st.st_dev, st.st_ino
 
 
 def _run_analysis(args, methods: list[str]) -> int:
@@ -184,25 +189,26 @@ def _run_analysis(args, methods: list[str]) -> int:
         check_run(args.trials, args.seed, args.max_points, args.fit_range, args.threads)
     except ArgumentError as exc:
         raise InputError(f"{_FLAGS[exc.name]} {exc.rule}") from None
-    dataset, _ = _source(args)
+    dataset, source = _source(args)
     csv_paths = {method: args.csv or f"{dataset}.{method}.csv" for method in methods}
     json_path = args.json or f"{dataset}.{'-'.join(methods)}.json"
     # an output written over the input or another output would destroy it
-    files = {Path(args.input).resolve()} if args.input else set()
+    files = {_identity(source)} if args.input else set()
     for path in filter(None, (args.dump_matrix, *csv_paths.values(), json_path)):
         if not Path(path).parent.is_dir():
             raise InputError(f"cannot write {path}: no directory {Path(path).parent}")
-        if Path(path).resolve() in files:
+        identity = _identity(path)
+        if identity in files:
             raise InputError(f"cannot write {path}: it is the input or another output of this run")
-        files.add(Path(path).resolve())
+        files.add(identity)
     started = time.perf_counter()  # wall_seconds includes reading the input
-    _, graph = _load_input(args)
+    graph = _load_input(source)
     threads = usable_workers(args.threads)
 
     results, written = {}, []
     try:
         for dm, series, estimate in pipeline(
-            graph, methods, args.trials, args.seed, args.max_points, args.fit_range, threads, args.min_lb
+            graph, methods, args.trials, args.seed, args.max_points, args.fit_range, threads
         ):
             method = estimate.method
             if args.dump_matrix and method == methods[0]:
@@ -228,7 +234,6 @@ def _run_analysis(args, methods: list[str]) -> int:
                 "seed": args.seed,
                 "max_points": args.max_points,
                 "fit_range": args.fit_range,
-                "min_lb": args.min_lb,
                 "threads": threads,
             },
         }

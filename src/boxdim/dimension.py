@@ -96,18 +96,15 @@ def _snap_log_targets(values: np.ndarray, max_points: int) -> np.ndarray:
     return sorted_distinct(np.concatenate((snapped, values[[0, -1]])))
 
 
-def build_schedule(
-    dm: DistanceMatrix, max_points: int = DEFAULT_MAX_POINTS, min_box_size: int | None = None
-) -> BoxSizeSchedule:
+def build_schedule(dm: DistanceMatrix, max_points: int = DEFAULT_MAX_POINTS) -> BoxSizeSchedule:
     """Choose the box sizes to sweep for one distance matrix; the trials sweep exactly these.
 
     Repulsion mode sweeps the distinct distance values themselves, from the
     smallest up to the diameter; hop mode sweeps the integers 1..diameter.
     When there are more than ``max_points`` candidates, log-spaced targets are
     snapped to the nearest candidate (keeping both endpoints) so the fit stays
-    well conditioned without flooding large graphs. Then the sizes below
-    ``min_box_size`` are dropped, and a sweep of fewer than three sizes is
-    refused with ``DegenerateScalingError``.
+    well conditioned without flooding large graphs. A sweep of fewer than
+    three sizes is refused with ``DegenerateScalingError``.
     """
     check_run(max_points=max_points)
     if dm.metric_kind == REPULSION:
@@ -119,8 +116,6 @@ def build_schedule(
     else:
         picked, mode = _snap_log_targets(candidates, max_points), LOG_SNAPPED
     values = tuple(int(v) for v in picked)
-    if min_box_size is not None:
-        values = tuple(v for v in values if v >= min_box_size)
     if len(values) < 3:
         raise DegenerateScalingError(f"degenerate scaling range: only {len(values)} box size(s)")
     return BoxSizeSchedule(values=values, selection_mode=mode)
@@ -190,16 +185,16 @@ def pipeline(
     max_points: int = DEFAULT_MAX_POINTS,
     fit_range: tuple[float, float] | None = None,
     workers: int = 1,
-    min_box_size: int | None = None,
 ) -> Iterator[tuple[DistanceMatrix, ScalingSeries, DimensionEstimate]]:
     """Yield ``(dm, series, estimate)`` for each method, in turn, on one component.
 
     ``check_run`` refuses a bad argument first, as ``ArgumentError``. Stages:
     largest component, once -> per method, all-pairs distances -> box-size
     schedule -> randomized greedy coverings -> log-log regression.
-    ``build_schedule`` drops the sizes below ``min_box_size`` and refuses a
-    sweep of fewer than three sizes, and a ``fit_range`` that keeps fewer
-    than three is refused too, both before any trial runs. ``workers``
+    ``build_schedule`` refuses a sweep of fewer than three sizes, and a
+    ``fit_range`` that keeps fewer than three is refused too, both before
+    any trial runs. Each size's counts do not depend on the other sizes, so
+    ``fit_range`` alone picks the fitted part of the sweep. ``workers``
     forked processes relax the all-pairs columns and run the trials.
     """
     methods = list(methods)
@@ -207,7 +202,7 @@ def pipeline(
     comp = largest_component(g)
     for method in methods:
         dm = all_pairs(comp, method, workers)
-        values = build_schedule(dm, max_points, min_box_size).values
+        values = build_schedule(dm, max_points).values
         _fit_points(values, fit_range)  # refused before the trials run
         counts = covering_counts(dm, values, trials, seed, workers=workers)
         series = ScalingSeries(values, counts, dm.metric_kind, dm.n, comp.edge_count)
@@ -224,7 +219,6 @@ def analyze(
     max_points: int = DEFAULT_MAX_POINTS,
     fit_range: tuple[float, float] | None = None,
     workers: int = 1,
-    min_box_size: int | None = None,
 ) -> tuple[ScalingSeries, DimensionEstimate]:
     """Estimate the fractal dimension of a graph end to end under ``method``.
 
@@ -232,7 +226,5 @@ def analyze(
     method; a bad argument is refused before the first, as ``ArgumentError``
     (a ``ValueError``). Returns the scaling series and the estimate.
     """
-    _, series, estimate = next(pipeline(
-        g, [method], trials, seed, max_points, fit_range, workers, min_box_size
-    ))
+    _, series, estimate = next(pipeline(g, [method], trials, seed, max_points, fit_range, workers))
     return series, estimate

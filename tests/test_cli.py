@@ -307,6 +307,13 @@ class TestDim:
         assert code == 0
         assert (tmp_path / "sierpinski2.hop.csv").exists()
 
+    def test_min_lb_is_not_an_option(self, capsys):
+        # --fit-range LO HI, with HI at or above the largest size, fits from LO up
+        args = ["dim", "--gen", "sierpinski:2", "--trials", "5", "--min-lb", "2"]
+        code, _, stderr = run_cli(args, capsys)
+        assert code == 2
+        assert "unrecognized arguments: --min-lb 2" in stderr
+
     def test_bad_generator_spec(self, capsys):
         code, _, stderr = run_cli(["dim", "--gen", "menger:2", "--trials", "5"], capsys)
         assert code == 2
@@ -578,6 +585,8 @@ class TestCompare:
             "compare --input star.txt --trials 5 --json star.hop.csv",
             # two outputs, one file
             "dim --input star.txt --trials 5 --dump-matrix m.csv --json ./m.csv",
+            # a hard link is the input under another name
+            "dim --input star.txt --trials 5 --csv link.txt",
         ],
     )
     def test_output_on_the_input_or_another_output_exit_2(
@@ -586,14 +595,36 @@ class TestCompare:
         monkeypatch.chdir(tmp_path)
         star = "0 1\n0 2\n0 3\n0 4\n0 5\n1 2\n3 4\n"
         Path("star.txt").write_text(star)
+        if "link.txt" in command:
+            os.link("star.txt", "link.txt")
+        names = sorted(p.name for p in tmp_path.iterdir())
         loads = []
         monkeypatch.setattr(cli, "_load_input", loads.append)
         code, _, stderr = run_cli(command.split(), capsys)
         assert code == 2
         assert "is the input or another output of this run" in stderr
         assert loads == []
-        assert [p.name for p in tmp_path.iterdir()] == ["star.txt"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
         assert Path("star.txt").read_text() == star
+
+    def test_failed_run_never_removes_a_device(self, tmp_path, capsys, monkeypatch):
+        # the star's hop sweep fails after the dump went to the null device:
+        # its repulsion CSV is removed, the device is not even tried
+        monkeypatch.chdir(tmp_path)
+        Path("star.txt").write_text("0 1\n0 2\n0 3\n0 4\n0 5\n1 2\n3 4\n")
+        unlink = Path.unlink
+
+        def guarded(self, *args, **kwargs):
+            if os.path.realpath(self) == os.path.realpath(os.devnull):
+                raise AssertionError(f"a failed run removed {self}")
+            return unlink(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "unlink", guarded)
+        args = ["compare", "--input", "star.txt", "--trials", "5", "--dump-matrix", os.devnull]
+        code, _, stderr = run_cli(args, capsys)
+        assert code == 3
+        assert "degenerate scaling range: only 2 box size(s)" in stderr
+        assert [p.name for p in tmp_path.iterdir()] == ["star.txt"]
 
     def test_interrupt_on_second_method_removes_first_methods_files(
         self, karate_file, tmp_path, capsys, monkeypatch

@@ -71,16 +71,6 @@ class TestBuildSchedule:
         with pytest.raises(DegenerateScalingError, match="degenerate scaling range"):
             bd.build_schedule(dm, max_points=3)
 
-    def test_min_box_size_applied_after_snapping(self):
-        g = bd.Graph.from_edges(201, [(i, i + 1) for i in range(200)])
-        dm = bd.all_pairs(g, bd.HOP)
-        snapped = bd.build_schedule(dm, max_points=12)
-        sched = bd.build_schedule(dm, max_points=12, min_box_size=10)
-        assert sched.values == tuple(v for v in snapped.values if v >= 10)
-        assert sched.selection_mode == snapped.selection_mode == "log_snapped"
-        with pytest.raises(DegenerateScalingError, match="degenerate scaling range"):
-            bd.build_schedule(dm, max_points=12, min_box_size=snapped.values[-2])
-
     @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int64])
     def test_snapped_targets_match_union1d(self, dtype):
         # the snapping and np.union1d with the endpoints, as the schedule once did
@@ -250,13 +240,6 @@ class TestAnalyze:
         with pytest.raises(bd.ArgumentError, match="'euclid' is an unknown metric"):
             next(dimension.pipeline(karate, [bd.HOP, "euclid"], trials=6, workers=2))
 
-    def test_min_box_size_filter(self, karate):
-        series, est = bd.analyze(karate, method=bd.HOP, trials=10, seed=0, min_box_size=2)
-        assert series.box_sizes[0] == 2
-        assert est.points_used == len(series.box_sizes)
-        sched = bd.build_schedule(bd.all_pairs(karate, bd.HOP), min_box_size=2)
-        assert sched.values == series.box_sizes
-
     def test_collapsed_schedule_refused_before_the_trials(self, monkeypatch):
         g = bd.Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         # analyze weighs the path by degree products; the collapsing forces replace them
@@ -265,20 +248,29 @@ class TestAnalyze:
         with pytest.raises(DegenerateScalingError, match="degenerate scaling range"):
             bd.analyze(g, bd.REPULSION, trials=50, max_points=3)
 
-    def test_min_box_size_leaving_two_refused_before_the_trials(self, karate, monkeypatch):
-        # karate hop sweeps 1..5, so sizes from 4 on leave 4 and 5
-        with pytest.raises(DegenerateScalingError, match="degenerate scaling range"):
-            bd.build_schedule(bd.all_pairs(karate, bd.HOP), min_box_size=4)
-        monkeypatch.setattr(bd.dimension, "covering_counts", no_trials)
-        with pytest.raises(DegenerateScalingError, match="degenerate scaling range"):
-            bd.analyze(karate, bd.HOP, trials=5, min_box_size=4)
-
     @pytest.mark.parametrize("fit_range", [(100000, 200000), (2, 3)])
     def test_empty_fit_range_refused_before_the_trials(self, karate, monkeypatch, fit_range):
         # karate hop sweeps 1..5: neither range keeps 3 sizes, so no trial may run
         monkeypatch.setattr(bd.dimension, "covering_counts", no_trials)
         with pytest.raises(DegenerateScalingError, match=r"\d point\(s\) in fit range \(need 3\)"):
             bd.analyze(karate, bd.HOP, trials=5, fit_range=fit_range)
+
+    @pytest.mark.parametrize("graph, method", [("karate", bd.HOP), ("karate", bd.REPULSION),
+                                               ("sierpinski3", bd.HOP)])
+    def test_fit_range_from_lo_up_equals_sweeping_only_from_lo(self, karate, graph, method):
+        # each size's counts do not depend on the other sizes in the sweep, so
+        # fitting [lo, largest] of the whole sweep is fitting a sweep from lo
+        g = karate if graph == "karate" else bd.generate_sierpinski(3).graph
+        dm = bd.all_pairs(g, method)
+        series, _ = bd.analyze(g, method, trials=12, seed=5)
+        sizes = series.box_sizes
+        for first in range(len(sizes) - 2):
+            lo, rows = sizes[first], slice(first, None)
+            counts = bd.covering_counts(dm, sizes[rows], trials=12, master_seed=5)
+            np.testing.assert_array_equal(counts, series.counts[rows])
+            alone = bd.ScalingSeries(sizes[rows], counts, method, g.node_count, g.edge_count)
+            fitted = bd.estimate_dimension(series, fit_range=(lo, max(sizes)))
+            assert fitted == bd.estimate_dimension(alone)
 
     def test_sierpinski_comparative_claim_level4(self):
         g = bd.generate_sierpinski(4).graph
