@@ -3,7 +3,7 @@
 Exit codes: 0 success, 2 usage/input error (including an unreadable input or
 an unwritable output file), 3 analysis error (including a worker process
 that died), 130 interrupted (Ctrl-C). A run that fails, or is interrupted,
-removes the regular files it already wrote.
+removes every regular file it opened for writing, written in full or not.
 """
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ import os
 import sys
 import time
 from concurrent.futures import BrokenExecutor
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from . import __version__
 from .dimension import DEFAULT_MAX_POINTS, pipeline
 from .generators import generate_sierpinski
 from .graphs import EdgeListError, Graph, read_edge_list, save_edge_list
-from .metrics import HOP, REPULSION, ArgumentError, DistanceMatrix, check_run
+from .metrics import HOP, REPULSION, ArgumentError, check_run
 from .pool import usable_workers
 
 EXIT_OK = 0
@@ -145,33 +146,40 @@ def _load_input(source: Path | int) -> Graph:
         raise InputError(f"cannot read {source}: {exc}") from exc
 
 
-def write_series_csv(series, path) -> None:
-    """Scaling series as CSV, one line per box size; floats keep full round-trip precision."""
-    lines = ["l_B,mean_NB,std_NB,min_NB,max_NB"]
-    for b, row in zip(series.box_sizes, series.counts):
-        lines.append(f"{b},{float(row.mean())!r},{float(row.std())!r},{row.min()},{row.max()}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+def write_series_csv(series, target) -> None:
+    """Scaling series as CSV, one line per box size, to a path or an open text file."""
+    if not hasattr(target, "write"):
+        with open(target, "w", encoding="utf-8", newline="\n") as fh:
+            return write_series_csv(series, fh)
+    target.write("l_B,mean_NB,std_NB,min_NB,max_NB\n")
+    for b, row in zip(series.box_sizes, series.counts):  # repr: floats round-trip exactly
+        target.write(f"{b},{float(row.mean())!r},{float(row.std())!r},{row.min()},{row.max()}\n")
 
 
-def _write(path, emit, written: list) -> None:
-    """Write ``path`` with ``emit(path)``, log it and record it in ``written``.
+@contextmanager
+def _outputs():
+    """Yield ``write(path, emit)``, which opens ``path`` and hands the open file to ``emit``.
 
-    A failure to write is an input error (exit 2), and the path is not
-    recorded. Only a path that is a regular file after its write is recorded,
-    so a failed run never removes a device such as /dev/null.
-    """
+    A refused open or write is exit 2; a refused open leaves the path as it was. If the block
+    raises, Ctrl-C included, every regular file opened is removed, written in full or not."""
+    opened = []
+
+    def write(path, emit) -> None:
+        try:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                if Path(path).is_file():  # never a device such as /dev/null
+                    opened.append(path)
+                emit(fh)
+        except OSError as exc:
+            raise InputError(f"cannot write {path}: {exc}") from exc
+        logger.info("wrote %s", path)
+
     try:
-        emit(path)
-    except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from exc
-    logger.info("wrote %s", path)
-    if Path(path).is_file():
-        written.append(path)
-
-
-def _dump_matrix_csv(dm: DistanceMatrix, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        np.savetxt(fh, dm.dist, fmt="%d", delimiter=",")
+        yield write
+    except BaseException:
+        for path in opened:
+            Path(path).unlink(missing_ok=True)
+        raise
 
 
 def _identity(path) -> tuple[int, int] | Path:
@@ -205,18 +213,18 @@ def _run_analysis(args, methods: list[str]) -> int:
     graph = _load_input(source)
     threads = usable_workers(args.threads)
 
-    results, written = {}, []
-    try:
+    results = {}
+    with _outputs() as write:
         for dm, series, estimate in pipeline(
             graph, methods, args.trials, args.seed, args.max_points, args.fit_range, threads
         ):
             method = estimate.method
             if args.dump_matrix and method == methods[0]:
-                _write(args.dump_matrix, lambda path: _dump_matrix_csv(dm, path), written)
+                write(args.dump_matrix, lambda fh: np.savetxt(fh, dm.dist, fmt="%d", delimiter=","))
             # one matrix alive at a time: release it before the next method builds its own
             del dm
             results[method] = (series, estimate)
-            _write(csv_paths[method], lambda path: write_series_csv(series, path), written)
+            write(csv_paths[method], lambda fh: write_series_csv(series, fh))
 
         first_series = results[methods[0]][0]
         summary = {
@@ -237,12 +245,7 @@ def _run_analysis(args, methods: list[str]) -> int:
                 "threads": threads,
             },
         }
-        text = json.dumps(summary, indent=2) + "\n"
-        _write(json_path, lambda path: Path(path).write_text(text, encoding="utf-8"), written)
-    except BaseException:  # KeyboardInterrupt too: a failed run leaves none of its outputs
-        for path in written:
-            Path(path).unlink(missing_ok=True)
-        raise
+        write(json_path, lambda fh: fh.write(json.dumps(summary, indent=2) + "\n"))
 
     if len(methods) == 1:
         est = results[methods[0]][1]
@@ -259,13 +262,10 @@ def _run_analysis(args, methods: list[str]) -> int:
 
 
 def _cmd_gen(args) -> int:
-    try:
-        module = generate_sierpinski(args.level)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    g = _load_input(args.level)
     out = args.output or f"sierpinski_level{args.level}.txt"
-    g = module.graph
-    _write(out, lambda path: save_edge_list(g, path), [])
+    with _outputs() as write:
+        write(out, lambda fh: save_edge_list(g, fh))
     print(f"wrote {out}: {g.node_count} nodes, {g.edge_count} edges")
     return EXIT_OK
 
@@ -299,7 +299,7 @@ def main(argv=None) -> int:
     except BrokenExecutor as exc:  # BrokenProcessPool: an all-pairs or trial worker died
         print(f"analysis error: a worker process died: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
-    except KeyboardInterrupt:  # the run has already removed what it wrote
+    except KeyboardInterrupt:  # _outputs has already removed what the run opened
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
 

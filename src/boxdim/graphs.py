@@ -173,12 +173,11 @@ def read_edge_list(path) -> Graph:
 
 def save_edge_list(g: Graph, target: str | IO[str]) -> None:
     """Write one "label label" pair per line, sorted by id pair, UTF-8."""
-    if hasattr(target, "write"):
-        for u, v in g.edges.tolist():
-            target.write(f"{g.label(u)} {g.label(v)}\n")
-        return
-    with open(target, "w", encoding="utf-8", newline="\n") as fh:
-        save_edge_list(g, fh)
+    if not hasattr(target, "write"):
+        with open(target, "w", encoding="utf-8", newline="\n") as fh:
+            return save_edge_list(g, fh)
+    for u, v in g.edges.tolist():
+        target.write(f"{g.label(u)} {g.label(v)}\n")
 
 
 def degrees(g: Graph) -> np.ndarray:

@@ -1,3 +1,5 @@
+import builtins
+import errno
 import io
 import json
 import logging
@@ -58,6 +60,36 @@ def track_calls(monkeypatch, home, name):
     return calls
 
 
+def fail_writes(monkeypatch, path, exc, room=None):
+    """Make the open of ``path`` for writing raise ``exc``; given ``room``, open it, and make
+    its first write put ``room`` characters in the file and then raise ``exc``, as a full disk."""
+    real = io.open
+    target = os.path.abspath(path)
+
+    def opener(file, mode="r", *args, **kwargs):
+        if "w" not in mode or not isinstance(file, (str, os.PathLike)) or os.path.abspath(file) != target:
+            return real(file, mode, *args, **kwargs)
+        if room is None:
+            raise exc
+        fh = real(file, mode, *args, **kwargs)
+        write = fh.write
+
+        def short(text):
+            write(text[:room])
+            raise exc
+
+        fh.write = short
+        return fh
+
+    # pathlib opens through io.open, everything else through the builtin
+    monkeypatch.setattr(io, "open", opener)
+    monkeypatch.setattr(builtins, "open", opener)
+
+
+def no_space() -> OSError:
+    return OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
 def matrix_rows(dm) -> bytes:
     """The --dump-matrix format, one comma-separated row per node, cell by cell."""
     return "".join(",".join(str(int(x)) for x in row) + "\n" for row in dm.dist).encode()
@@ -85,6 +117,14 @@ class TestGen:
         assert code == 2
         assert "level above cap" in stderr
         assert not out.exists()
+
+    def test_full_disk_removes_the_part_written_edge_list(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        fail_writes(monkeypatch, "out.txt", no_space(), room=4)
+        code, stdout, stderr = run_cli(["gen", "sierpinski", "--level", "2", "-o", "out.txt"], capsys)
+        assert (code, stdout) == (2, "")
+        assert "error: cannot write out.txt: [Errno 28] " in stderr
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.fixture
@@ -347,14 +387,11 @@ class TestDim:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["karate.txt", "out"]
 
     def test_refused_write_keeps_the_existing_file(self, karate_file, tmp_path, capsys, monkeypatch):
-        # the dump was written by this run, so it goes; the CSV's own write was
+        # the dump was written by this run, so it goes; the CSV's own open was
         # refused, so the file already at that path is left as it was
-        def refuse(series, path):
-            raise PermissionError(13, "Permission denied", str(path))
-
-        monkeypatch.setattr(cli, "write_series_csv", refuse)
         csv = tmp_path / "s.csv"
         csv.write_text("kept\n")
+        fail_writes(monkeypatch, csv, PermissionError(13, "Permission denied", str(csv)))
         args = ["dim", "--input", str(karate_file), "--method", "hop", "--trials", "5",
                 "--csv", str(csv), "--json", str(tmp_path / "s.json"),
                 "--dump-matrix", str(tmp_path / "m.csv")]
@@ -363,6 +400,19 @@ class TestDim:
         assert f"error: cannot write {csv}: " in stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["karate.txt", "s.csv"]
         assert csv.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("output", ["s.csv", "s.json"])
+    def test_full_disk_removes_every_output(self, karate_file, tmp_path, capsys, monkeypatch, output):
+        # the disk fills partway through one output: neither it nor the
+        # outputs written before it are left
+        monkeypatch.chdir(tmp_path)
+        fail_writes(monkeypatch, output, no_space(), room=4)
+        args = ["dim", "--input", str(karate_file), "--method", "hop", "--trials", "5",
+                "--threads", "1", "--csv", "s.csv", "--json", "s.json", "--dump-matrix", "m.csv"]
+        code, _, stderr = run_cli(args, capsys)
+        assert code == 2
+        assert f"error: cannot write {output}: [Errno 28] " in stderr
+        assert [p.name for p in tmp_path.iterdir()] == ["karate.txt"]
 
     def test_byte_identical_csv_across_runs_and_threads(self, karate_file, tmp_path, capsys):
         blobs = []
@@ -659,6 +709,26 @@ class TestCompare:
         args = ["dim", "--input", str(karate_file), "--trials", "5", "--dump-matrix", "m.csv"]
         code, stdout, stderr = run_cli(args, capsys)
         assert (code, stdout, stderr) == (130, "", "interrupted\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["karate.txt"]
+
+    def test_interrupt_inside_the_dump_removes_it(self, karate_file, tmp_path, capsys, monkeypatch):
+        # Ctrl-C after the dump's first row is on disk
+        monkeypatch.chdir(tmp_path)
+        savetxt = np.savetxt
+        written = []
+
+        def interrupted(fh, matrix, **kwargs):
+            savetxt(fh, matrix[:1], **kwargs)
+            fh.flush()
+            written.append(Path("m.csv").stat().st_size)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(np, "savetxt", interrupted)
+        args = ["dim", "--input", str(karate_file), "--trials", "5", "--threads", "1",
+                "--dump-matrix", "m.csv"]
+        code, stdout, stderr = run_cli(args, capsys)
+        assert (code, stdout, stderr) == (130, "", "interrupted\n")
+        assert written[0] > 0
         assert [p.name for p in tmp_path.iterdir()] == ["karate.txt"]
 
     def test_missing_input_exit_2(self, capsys):
