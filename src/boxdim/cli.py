@@ -14,7 +14,7 @@ import os
 import sys
 import time
 from concurrent.futures import BrokenExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict
 from pathlib import Path
 
@@ -157,18 +157,37 @@ def write_series_csv(series, target) -> None:
 
 
 @contextmanager
-def _outputs():
-    """Yield ``write(path, emit)``, which opens ``path`` and hands the open file to ``emit``.
+def _outputs(paths, source=None):
+    """Refuse a bad output before anything is read, then yield ``write(path, emit)``.
 
-    A refused open or write is exit 2; a refused open leaves the path as it was. If the block
-    raises, Ctrl-C included, every regular file opened is removed, written in full or not."""
+    Each path is resolved once, following symbolic links; a directory, a missing directory, or the
+    input ``source`` or another output (by device and inode if it exists, else by resolved path) is
+    exit 2. ``write`` opens the resolved file for ``emit``. If the block raises, Ctrl-C included,
+    every regular file opened is removed: for a symbolic link, the file it names, not the link."""
+    def identity(real: Path):
+        with suppress(OSError):
+            st = real.stat()
+            return st.st_dev, st.st_ino
+        return real
+
+    files = {identity(Path(os.path.realpath(source)))} if source else set()
+    real = {}
+    for path in filter(None, paths):
+        real[path] = target = Path(os.path.realpath(path))
+        if target.is_dir():
+            raise InputError(f"cannot write {path}: it is a directory")
+        if not target.parent.is_dir():
+            raise InputError(f"cannot write {path}: no directory {target.parent}")
+        if identity(target) in files:
+            raise InputError(f"cannot write {path}: it is the input or another output of this run")
+        files.add(identity(target))
     opened = []
 
     def write(path, emit) -> None:
         try:
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                if Path(path).is_file():  # never a device such as /dev/null
-                    opened.append(path)
+            with open(real[path], "w", encoding="utf-8", newline="\n") as fh:
+                if real[path].is_file():  # never a device such as /dev/null
+                    opened.append(real[path])
                 emit(fh)
         except OSError as exc:
             raise InputError(f"cannot write {path}: {exc}") from exc
@@ -178,17 +197,8 @@ def _outputs():
         yield write
     except BaseException:
         for path in opened:
-            Path(path).unlink(missing_ok=True)
+            path.unlink(missing_ok=True)
         raise
-
-
-def _identity(path) -> tuple[int, int] | Path:
-    """A file's (device, inode) if it exists, so hard links are one file; else its resolved path."""
-    try:
-        st = os.stat(path)
-    except OSError:
-        return Path(path).resolve()
-    return st.st_dev, st.st_ino
 
 
 def _run_analysis(args, methods: list[str]) -> int:
@@ -200,21 +210,11 @@ def _run_analysis(args, methods: list[str]) -> int:
     dataset, source = _source(args)
     csv_paths = {method: args.csv or f"{dataset}.{method}.csv" for method in methods}
     json_path = args.json or f"{dataset}.{'-'.join(methods)}.json"
-    # an output written over the input or another output would destroy it
-    files = {_identity(source)} if args.input else set()
-    for path in filter(None, (args.dump_matrix, *csv_paths.values(), json_path)):
-        if not Path(path).parent.is_dir():
-            raise InputError(f"cannot write {path}: no directory {Path(path).parent}")
-        identity = _identity(path)
-        if identity in files:
-            raise InputError(f"cannot write {path}: it is the input or another output of this run")
-        files.add(identity)
-    started = time.perf_counter()  # wall_seconds includes reading the input
-    graph = _load_input(source)
-    threads = usable_workers(args.threads)
-
     results = {}
-    with _outputs() as write:
+    with _outputs([args.dump_matrix, *csv_paths.values(), json_path], args.input) as write:
+        started = time.perf_counter()  # wall_seconds includes reading the input
+        graph = _load_input(source)
+        threads = usable_workers(args.threads)
         for dm, series, estimate in pipeline(
             graph, methods, args.trials, args.seed, args.max_points, args.fit_range, threads
         ):
@@ -262,9 +262,9 @@ def _run_analysis(args, methods: list[str]) -> int:
 
 
 def _cmd_gen(args) -> int:
-    g = _load_input(args.level)
     out = args.output or f"sierpinski_level{args.level}.txt"
-    with _outputs() as write:
+    with _outputs([out]) as write:
+        g = _load_input(args.level)
         write(out, lambda fh: save_edge_list(g, fh))
     print(f"wrote {out}: {g.node_count} nodes, {g.edge_count} edges")
     return EXIT_OK

@@ -72,7 +72,7 @@ class BoxCovering:
 
 
 @dataclass(frozen=True, eq=False)
-class _SideLists:
+class _NearLists:
     """Each node's near list at one box size, in node order: u's list
     ``cols[start[u]:start[u + 1]]`` holds the v != u with d(u, v) < box_size."""
 
@@ -122,7 +122,7 @@ class _Reach:
     box_size: int
 
     def colors(self, order: list[int]) -> tuple[list[int], int]:
-        """As ``_SideLists.colors``."""
+        """As ``_NearLists.colors``."""
         dist, b = self.dist, self.box_size
         n = dist.shape[0]
         reach = np.zeros((_REACH_ROWS, n), dtype=dist.dtype)
@@ -150,7 +150,7 @@ class _SizePlan:
 
     walk: np.ndarray
     alone: int
-    step: np.ndarray | _Reach | _SideLists
+    step: np.ndarray | _Reach | _NearLists
 
 
 def _box_sizes(sizes) -> list[int]:
@@ -193,7 +193,7 @@ def _plan(dm: DistanceMatrix, sizes: Sequence[int], lockstep: bool = False) -> l
         if lockstep:
             step, what = _far_words(dist, b), "bitset lockstep"
         elif i in near:
-            step, what = near[i], f"near side, {pairs} list entries"
+            step, what = near[i], f"near lists, {pairs} list entries"
         else:
             step, what = _Reach(dist, b), f"reach, {pairs} list entries"
         logger.debug("box size %d: %s, %d nodes walked, %d isolated", b, what, walked[i], alone)
@@ -201,7 +201,7 @@ def _plan(dm: DistanceMatrix, sizes: Sequence[int], lockstep: bool = False) -> l
     return plan
 
 
-def _near_lists(dist: np.ndarray, blocks, sizes: list[int], cuts: np.ndarray) -> list[_SideLists]:
+def _near_lists(dist: np.ndarray, blocks, sizes: list[int], cuts: np.ndarray) -> list[_NearLists]:
     """The near lists of each of ``sizes``, whose rows of ``cuts`` count each
     node's near set plus itself, from one read of each row block."""
     n = dist.shape[0]
@@ -218,7 +218,7 @@ def _near_lists(dist: np.ndarray, blocks, sizes: list[int], cuts: np.ndarray) ->
             near %= n
             for b, start, col in zip(sizes, starts, cols):
                 col[start[a] : start[z]] = near if b == top else near[d < b]
-    return [_SideLists(col, start.tolist()) for col, start in zip(cols, starts)]
+    return [_NearLists(col, start.tolist()) for col, start in zip(cols, starts)]
 
 
 def _far_words(dist: np.ndarray, box_size: int) -> np.ndarray:

@@ -338,7 +338,9 @@ def check_run(trials=1, seed=0, max_points=3, fit_range=None, workers=1, methods
     input's own metric."""
     for name, value, least in (("trials", trials, 1), ("seed", seed, 0),
                                ("max_points", max_points, 3), ("workers", workers, 1)):
-        if not (isinstance(value, (int, np.integer)) and value >= least):
+        # a bool is an int to isinstance, but True is no count
+        integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        if not (integer and value >= least):
             raise ArgumentError(name, f"must be an integer of at least {least}, got {value!r}")
     if fit_range is not None:
         lo, hi = fit_range

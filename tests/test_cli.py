@@ -126,6 +126,17 @@ class TestGen:
         assert "error: cannot write out.txt: [Errno 28] " in stderr
         assert list(tmp_path.iterdir()) == []
 
+    def test_output_naming_a_directory_exit_2_before_generating(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        loads = []
+        monkeypatch.setattr(cli, "_load_input", loads.append)
+        args = ["gen", "sierpinski", "--level", "2", "-o", str(tmp_path)]
+        code, stdout, stderr = run_cli(args, capsys)
+        assert (code, stdout) == (2, "")
+        assert f"error: cannot write {tmp_path}: it is a directory" in stderr
+        assert loads == []
+
 
 @pytest.fixture
 def karate_file(tmp_path, karate):
@@ -287,6 +298,39 @@ class TestDim:
         assert code == 2
         assert f"error: cannot write {paths[flag]}: " in stderr
 
+    @pytest.mark.parametrize("flag", ["--csv", "--json", "--dump-matrix"])
+    def test_output_naming_a_directory_exit_2_before_loading(
+        self, karate_file, tmp_path, capsys, monkeypatch, flag
+    ):
+        loads = []
+        monkeypatch.setattr(cli, "_load_input", loads.append)
+        paths = {"--csv": tmp_path / "s.csv", "--json": tmp_path / "s.json"}
+        paths[flag] = tmp_path / "out"
+        paths[flag].mkdir()
+        args = ["dim", "--input", str(karate_file), "--method", "hop", "--trials", "5"]
+        for option, path in paths.items():
+            args += [option, str(path)]
+        code, _, stderr = run_cli(args, capsys)
+        assert code == 2
+        assert f"error: cannot write {paths[flag]}: it is a directory" in stderr
+        assert loads == []
+
+    def test_broken_link_into_a_missing_directory_exit_2_before_loading(
+        self, karate_file, tmp_path, capsys, monkeypatch
+    ):
+        # the link's own directory exists; the directory of the file it names does not
+        link = tmp_path / "l.csv"
+        link.symlink_to(tmp_path / "missing" / "target.csv")
+        loads = []
+        monkeypatch.setattr(cli, "_load_input", loads.append)
+        args = ["dim", "--input", str(karate_file), "--trials", "5", "--csv", str(link),
+                "--json", str(tmp_path / "s.json")]
+        code, _, stderr = run_cli(args, capsys)
+        assert code == 2
+        assert f"error: cannot write {link}: no directory {tmp_path / 'missing'}" in stderr
+        assert loads == []
+        assert link.is_symlink()
+
     def test_bad_trials_exit_2(self, karate_file, capsys):
         code, _, stderr = run_cli(
             ["dim", "--input", str(karate_file), "--trials", "0"], capsys
@@ -369,15 +413,15 @@ class TestDim:
         assert f"error: {message}" in stderr
 
     def test_csv_naming_a_directory_exit_2(self, karate_file, tmp_path, capsys):
-        # its parent exists, so only the write itself can refuse it
+        # its parent exists, but the path is itself a directory
         args = ["dim", "--input", str(karate_file), "--method", "hop", "--trials", "5",
                 "--csv", str(tmp_path), "--json", str(tmp_path / "s.json")]
         code, _, stderr = run_cli(args, capsys)
         assert code == 2
         assert f"error: cannot write {tmp_path}: " in stderr
 
-    def test_json_naming_a_directory_removes_the_csv(self, karate_file, tmp_path, capsys):
-        # the CSV is written before the JSON write fails, and a failed run keeps none of its outputs
+    def test_json_naming_a_directory_writes_nothing(self, karate_file, tmp_path, capsys):
+        # refused before the input is read, so the CSV is never written
         (tmp_path / "out").mkdir()
         args = ["dim", "--input", str(karate_file), "--method", "hop", "--trials", "5",
                 "--csv", str(tmp_path / "s.csv"), "--json", str(tmp_path / "out")]
@@ -656,6 +700,26 @@ class TestCompare:
         assert loads == []
         assert sorted(p.name for p in tmp_path.iterdir()) == names
         assert Path("star.txt").read_text() == star
+
+    def test_symbolic_link_output_writes_and_removes_the_file_it_names(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        Path("star.txt").write_text("0 1\n0 2\n0 3\n0 4\n0 5\n1 2\n3 4\n")
+        os.symlink("target.csv", "link.csv")
+        # the star's hop sweep fails after the dump went through the link
+        args = ["compare", "--input", "star.txt", "--trials", "5", "--dump-matrix", "link.csv"]
+        code, _, stderr = run_cli(args, capsys)
+        assert code == 3
+        assert "degenerate scaling range: only 2 box size(s)" in stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "star.txt"]
+        assert Path("link.csv").is_symlink()
+        # a run that passes writes the file the link names and leaves the link
+        for csv in ("link.csv", "direct.csv"):
+            args = ["dim", "--input", "star.txt", "--trials", "5", "--csv", csv, "--json", "s.json"]
+            assert run_cli(args, capsys)[0] == 0
+        assert Path("link.csv").is_symlink()
+        assert Path("target.csv").read_bytes() == Path("direct.csv").read_bytes()
 
     def test_failed_run_never_removes_a_device(self, tmp_path, capsys, monkeypatch):
         # the star's hop sweep fails after the dump went to the null device:

@@ -24,7 +24,7 @@ from conftest import (
 )
 
 # list lengths per walked node that send every size with a list entry to the
-# reach rows, or every one to the side lists
+# reach rows, or every one to the near lists
 SHORT_LIST_LIMITS = (0, 10**9)
 # node counts up to which covering_counts colors in lockstep: never (every
 # size walks the lists), or on every graph that fits one word
@@ -350,11 +350,11 @@ class TestGreedyCorePaths:
                 assert cov.box_count == max(ref_colors) + 1
 
     def test_trial_allocates_nothing_per_list_entry(self):
-        # a trial reads the side lists and the distance rows as built: its
+        # a trial reads the near lists and the distance rows as built: its
         # reach rows grow with the colors, never with the list lengths
         dm = bd.all_pairs(bd.generate_sierpinski(4).graph, bd.HOP)
         plan = covering._plan(dm, range(2, dm.diameter + 1))
-        assert {type(entry.step) for entry in plan} == {covering._SideLists, covering._Reach}
+        assert {type(entry.step) for entry in plan} == {covering._NearLists, covering._Reach}
         covering._trial_counts(plan, dm.n, 0, 0)  # warm-up
         tracemalloc.start()
         try:
@@ -375,7 +375,7 @@ class TestGreedyCorePaths:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert {type(entry.step) for entry in plan} == {covering._SideLists, covering._Reach}
+        assert {type(entry.step) for entry in plan} == {covering._NearLists, covering._Reach}
         assert peak < dm.dist.nbytes / 4
 
     def test_no_walk_sorts_no_rows(self):
@@ -396,7 +396,7 @@ class TestGreedyCorePaths:
             plan = covering._plan(dm, sizes, lockstep=False)
         assert not any(entry.walk.any() for entry in plan)
         steps = [entry.step for entry in plan]
-        assert [type(step) for step in steps] == [covering._SideLists, covering._Reach, covering._Reach]
+        assert [type(step) for step in steps] == [covering._NearLists, covering._Reach, covering._Reach]
         assert steps[0].cols.size == 0
         counts = bd.covering_counts(dm, sizes, trials=4, master_seed=2)
         assert counts.tolist() == [[n] * 4, [1] * 4, [1] * 4]
@@ -414,7 +414,7 @@ class TestGreedyCorePaths:
         dm = bd.all_pairs(bd.generate_sierpinski(3).graph, bd.HOP)
         sizes = range(1, dm.diameter + 1)
         plan = covering._plan(dm, sizes)
-        listed = [(b, e.step) for b, e in zip(sizes, plan) if type(e.step) is covering._SideLists]
+        listed = [(b, e.step) for b, e in zip(sizes, plan) if type(e.step) is covering._NearLists]
         assert [b for b, _ in listed] == [1, 2, 3]
         for b, step in listed:
             assert len(step.start) == dm.n + 1 and step.start[-1] == step.cols.size
@@ -454,7 +454,7 @@ class TestGreedyCorePaths:
             dm = bd.all_pairs(wg, bd.REPULSION)
             assert dm.dist.dtype == dtype
             sizes = bd.build_schedule(dm).values
-            for limit, step in zip(SHORT_LIST_LIMITS, (covering._Reach, covering._SideLists)):
+            for limit, step in zip(SHORT_LIST_LIMITS, (covering._Reach, covering._NearLists)):
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(covering, "_SHORT_LIST", limit)
                     plan = covering._plan(dm, sizes)
@@ -473,7 +473,7 @@ class TestGreedyCorePaths:
         assert kinds == [False] * 3 + [True] * 5
         assert not plan[0].walk.any() and not plan[-1].walk.any()
         walked = []
-        for step in (covering._SideLists, covering._Reach):
+        for step in (covering._NearLists, covering._Reach):
             def colors(self, order, colors=step.colors):
                 walked.append(len(order))
                 return colors(self, order)
@@ -497,7 +497,7 @@ class TestGreedyCorePaths:
         plan = covering._plan(dm, [1, 2, 4, 6])
         assert not plan[0].walk.any() and plan[0].alone == dm.n
         assert not plan[3].walk.any() and plan[3].alone == 0
-        assert type(plan[1].step) is type(plan[2].step) is covering._SideLists
+        assert type(plan[1].step) is type(plan[2].step) is covering._NearLists
         counts = bd.covering_counts(dm, [1, 2, 4, 6], trials=20, master_seed=8)
         for t in range(20):
             order = np.random.default_rng((8, t)).permutation(dm.n)
@@ -519,7 +519,7 @@ class TestGreedyCorePaths:
         assert "0 nodes walked, 34 isolated" in lines[0]
         assert "0 nodes walked, 0 isolated" in lines[3]
         assert lines[4:] == [
-            "box size 2: near side, 1272 list entries, 256 nodes walked, 0 isolated",
+            "box size 2: near lists, 1272 list entries, 256 nodes walked, 0 isolated",
             "box size 4: reach, 19524 list entries, 256 nodes walked, 0 isolated",
             "box size 7: reach, 65118 list entries, 18 nodes walked, 0 isolated",
         ]
@@ -614,9 +614,9 @@ def test_each_step_matches_dense_rule(n, extra, graph_seed, metric, master_seed,
             if n <= limit:
                 expected = {np.ndarray}
             elif short_list in SHORT_LIST_LIMITS:
-                expected = {covering._Reach if short_list == 0 else covering._SideLists}
+                expected = {covering._Reach if short_list == 0 else covering._NearLists}
             else:  # the default limit: the near lists, the reach rows or both
-                expected = kinds & {covering._Reach, covering._SideLists}
+                expected = kinds & {covering._Reach, covering._NearLists}
             assert kinds == (expected if any(entry.walk.any() for entry in plan) else set())
             by_step.append(bd.covering_counts(dm, sizes, trials, master_seed))
     assert np.array_equal(by_step[0], by_step[1])

@@ -219,6 +219,7 @@ class TestAnalyze:
             ("max_points", 2), ("max_points", 3.5),
             ("fit_range", (50, 5)), ("fit_range", (math.nan, 5)), ("fit_range", (1, math.inf)),
             ("workers", 0), ("workers", -1), ("method", "euclid"),
+            ("trials", True), ("seed", False), ("workers", True),
         ],
     )
     def test_bad_argument_refused_before_any_stage(self, karate, monkeypatch, name, value):

@@ -205,7 +205,7 @@ def test_large_graphs_match_oracle_at_1_and_2_threads(
         for threads in (1, 2):
             run_and_check(edges, 3, 7, 15, threads)
     # each size's step, where it walks some node
-    walking = re.compile(r": (near side|reach), \d+ list entries, [1-9]\d* nodes walked")
+    walking = re.compile(r": (near lists|reach), \d+ list entries, [1-9]\d* nodes walked")
     steps = {m[1] for r in caplog.records if (m := walking.search(r.getMessage()))}
-    assert steps == {"near side", "reach"}
+    assert steps == {"near lists", "reach"}
     assert {int(p.name) for p in pids.iterdir()} - {os.getpid()}, "no trial ran on a forked worker"
