@@ -162,8 +162,8 @@ def _outputs(paths, source=None):
 
     Each path is resolved once, following symbolic links; a directory, a missing directory, or the
     input ``source`` or another output (by device and inode if it exists, else by resolved path) is
-    exit 2. ``write`` opens the resolved file for ``emit``. If the block raises, Ctrl-C included,
-    every regular file opened is removed: for a symbolic link, the file it names, not the link."""
+    exit 2. ``write`` opens the path as given (a pipe has no resolved file). If the block raises,
+    Ctrl-C included, every regular file opened is removed: a link keeps, the file it names goes."""
     def identity(real: Path):
         with suppress(OSError):
             st = real.stat()
@@ -178,15 +178,15 @@ def _outputs(paths, source=None):
             raise InputError(f"cannot write {path}: it is a directory")
         if not target.parent.is_dir():
             raise InputError(f"cannot write {path}: no directory {target.parent}")
-        if identity(target) in files:
+        if (key := identity(target)) in files:
             raise InputError(f"cannot write {path}: it is the input or another output of this run")
-        files.add(identity(target))
+        files.add(key)
     opened = []
 
     def write(path, emit) -> None:
         try:
-            with open(real[path], "w", encoding="utf-8", newline="\n") as fh:
-                if real[path].is_file():  # never a device such as /dev/null
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                if os.path.isfile(path):  # never a device such as /dev/null, nor a pipe
                     opened.append(real[path])
                 emit(fh)
         except OSError as exc:

@@ -331,6 +331,22 @@ class TestDim:
         assert loads == []
         assert link.is_symlink()
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_json_to_a_pipe(self, karate_file, tmp_path, capsys):
+        # /dev/fd/N of a pipe resolves to no file, so the write must open the path as given
+        r, w = os.pipe()
+        try:
+            args = ["dim", "--input", str(karate_file), "--method", "hop", "--trials", "5",
+                    "--csv", str(tmp_path / "s.csv"), "--json", f"/dev/fd/{w}"]
+            code, _, stderr = run_cli(args, capsys)
+        finally:
+            os.close(w)
+        with os.fdopen(r, encoding="utf-8") as fh:
+            summary = json.loads(fh.read())
+        assert (code, stderr) == (0, "")
+        assert (summary["dataset"], summary["nodes"]) == ("karate", 34)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["karate.txt", "s.csv"]
+
     def test_bad_trials_exit_2(self, karate_file, capsys):
         code, _, stderr = run_cli(
             ["dim", "--input", str(karate_file), "--trials", "0"], capsys
